@@ -1,10 +1,10 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md for the per-experiment index).  The experiments are scaled
-down from the paper's exact workload sizes so the whole suite runs on a
-laptop in minutes — EXPERIMENTS.md records both the paper's parameters and
-the ones used here.
+(see the benchmark index in docs/architecture.md).  The experiments are
+scaled down from the paper's exact workload sizes so the whole suite runs on
+a laptop in minutes — each benchmark's docstring records both the paper's
+parameters and the ones used here.
 """
 
 from __future__ import annotations

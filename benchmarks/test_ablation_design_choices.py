@@ -1,11 +1,13 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for three serving-system design choices.
 
-Three ablations, each exercising one of the serving-system techniques the
-paper builds on:
+Each exercises one of the techniques the paper builds on:
 
 * Orca iteration-level scheduling versus conventional static batching;
 * vLLM paged KV-cache management versus maximum-length pre-allocation;
 * the computation-reuse cache's effect on engine-stack work.
+
+docs/scheduler.md describes the schedulers and KV managers compared here,
+docs/performance.md the computation-reuse cache.
 """
 
 from conftest import make_uniform_batch, run_once

@@ -4,8 +4,9 @@ The paper serves Poisson-arriving ShareGPT requests with GPT-3 and LLaMA
 models (7B and 30B) on a real 4x RTX 3090 vLLM deployment and shows that
 LLMServingSim's prompt and generation throughput trends track it with an
 average error under 14.7%.  Here the real deployment is replaced by the
-independent ``VLLMReferenceSystem`` emulator (see DESIGN.md); workload sizes
-are scaled down so the bench runs in minutes.
+independent ``VLLMReferenceSystem`` emulator (``repro.baselines.vllm_reference``;
+see the benchmark index in docs/architecture.md); workload sizes are scaled
+down so the bench runs in minutes.
 """
 
 import pytest

@@ -6,6 +6,13 @@ enough to leave on in CI smoke runs.  This benchmark runs the same bursty
 cluster scenario with the checker on and off and fails if the median
 slowdown exceeds 5%.
 
+The arms run paired: each round times one run of each arm back to back
+(alternating which goes first) and yields one on/off ratio, and the gate is
+the median of those ratios.  A host slowdown that spans a round hits both of
+its runs, so it cancels in the ratio instead of landing on one arm's median.
+The checker's own ``after_iteration`` time is also timed directly in a
+separate run and reported as a share of that run's wall time.
+
 Wall-clock is measured here (not simulated time): the checker changes how
 long the simulator takes to run, never what it computes — which the
 benchmark also asserts, by comparing the two arms' aggregate metrics.
@@ -18,10 +25,11 @@ from conftest import run_once
 
 from repro import ClusterConfig, ClusterSimulator, ServingSimConfig, generate_trace
 from repro.analysis import print_table
+from repro.analysis.invariants import ReplicaInvariantChecker
 
 NUM_REQUESTS = 48
 RATE = 96.0
-ROUNDS = 3
+ROUNDS = 7
 MAX_OVERHEAD = 0.05
 
 
@@ -51,30 +59,44 @@ def run_arm(check_invariants: bool):
     return elapsed, result
 
 
+def checker_share() -> float:
+    """Time spent inside ``after_iteration`` over the wall time of one checked run."""
+    spent = 0.0
+    original = ReplicaInvariantChecker.after_iteration
+
+    def timed(self, record):
+        nonlocal spent
+        start = time.perf_counter()
+        try:
+            return original(self, record)
+        finally:
+            spent += time.perf_counter() - start
+
+    ReplicaInvariantChecker.after_iteration = timed
+    try:
+        elapsed, _ = run_arm(True)
+    finally:
+        ReplicaInvariantChecker.after_iteration = original
+    return spent / elapsed
+
+
 def measure_overhead():
     # Warm both arms once (imports, first-call caches) before timing.
     run_arm(False)
     run_arm(True)
 
-    # Interleave the arms so drift (CPU frequency, noisy neighbours) hits
-    # both equally, then compare medians.
-    off_times, on_times = [], []
-    off_result = on_result = None
-    for _ in range(ROUNDS):
-        elapsed, off_result = run_arm(False)
-        off_times.append(elapsed)
-        elapsed, on_result = run_arm(True)
-        on_times.append(elapsed)
+    ratios = []
+    for round_index in range(ROUNDS):
+        order = (False, True) if round_index % 2 == 0 else (True, False)
+        runs = {check_invariants: run_arm(check_invariants) for check_invariants in order}
+        ratios.append(runs[True][0] / runs[False][0])
 
-    off_median = statistics.median(off_times)
-    on_median = statistics.median(on_times)
-    overhead = (on_median - off_median) / off_median
     return {
-        "off_median": off_median,
-        "on_median": on_median,
-        "overhead": overhead,
-        "off_result": off_result,
-        "on_result": on_result,
+        "ratios": ratios,
+        "overhead": statistics.median(ratios) - 1.0,
+        "checker_share": checker_share(),
+        "off_result": runs[False][1],
+        "on_result": runs[True][1],
     }
 
 
@@ -83,11 +105,11 @@ def test_invariant_checking_overhead_below_5_percent(benchmark):
 
     print_table(
         f"Invariant checker overhead ({NUM_REQUESTS} bursty requests, "
-        f"2 replicas, median of {ROUNDS})",
-        ["arm", "median wall s"],
-        [["invariants off", f"{metrics['off_median']:.4f}"],
-         ["invariants on", f"{metrics['on_median']:.4f}"],
-         ["overhead", f"{metrics['overhead']:+.2%}"]])
+        f"2 replicas, {ROUNDS} paired rounds)",
+        ["quantity", "value"],
+        [["on/off ratio per round", " ".join(f"{r:.3f}" for r in metrics["ratios"])],
+         ["overhead (median ratio - 1)", f"{metrics['overhead']:+.2%}"],
+         ["after_iteration share of a checked run", f"{metrics['checker_share']:.2%}"]])
 
     # The checker observes; it must never perturb the simulation itself.
     off, on = metrics["off_result"], metrics["on_result"]

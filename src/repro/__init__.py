@@ -6,8 +6,10 @@ model operator graphs, request workloads, the Orca-style iteration-level
 scheduler with vLLM paged KV caching, a pluggable execution-engine stack
 (NPU systolic-array, PIM and GPU cost models), the Chakra-style graph
 converter with tensor/pipeline/hybrid parallelism, and an ASTRA-sim-style
-discrete-event system simulator — plus the baselines and benchmark harnesses
-needed to regenerate every table and figure of the paper's evaluation.
+system simulator (an exact in-order pass on the graphs the converter proves
+safe, discrete-event simulation otherwise) — plus the baselines and
+benchmark harnesses needed to regenerate every table and figure of the
+paper's evaluation.
 
 Quickstart::
 

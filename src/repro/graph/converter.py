@@ -53,13 +53,18 @@ class GraphGranularity(enum.Enum):
 
 @dataclass
 class ConversionStats:
-    """Size statistics of a converted graph (used by simulation-time accounting)."""
+    """Size statistics of a converted graph (used by simulation-time accounting).
+
+    ``pool_transfer_nodes`` counts the NPU<->PIM pool transfers among the
+    ``p2p_nodes``.
+    """
 
     compute_nodes: int = 0
     collective_nodes: int = 0
     collective_participants: int = 0
     p2p_nodes: int = 0
     memory_nodes: int = 0
+    pool_transfer_nodes: int = 0
 
     @property
     def total_nodes(self) -> int:
@@ -201,9 +206,11 @@ class GraphConverter:
 
         # Per sub-batch chains through every block of every stage.
         final_node_ids: List[int] = []
+        converted_sub_batches = 0
         for sub_batch_index, entries in enumerate(sub_batch_block_traces):
             if not entries:
                 continue
+            converted_sub_batches += 1
             tokens = self._sub_batch_tokens(entries, total_new_tokens)
             # The dependency frontier of this sub-batch on each device.
             last_on_device: Dict[int, List[int]] = {d: list(embed_ids) for d in groups[0]}
@@ -240,6 +247,14 @@ class GraphConverter:
                     phase=entry.operator.phase.value)
                 self.stats.compute_nodes += 1
 
+        # With one sub-batch chain and no pool round trips, every device
+        # runs its nodes in node-id order under the discrete-event
+        # simulation, so the system simulator may evaluate the graph in one
+        # in-order pass with the same makespan (the differential tests check
+        # this against the discrete-event path).  Interleaved sub-batches
+        # and pool transfers reorder a device's work.
+        graph.in_order_exact = (converted_sub_batches <= 1
+                                and self.stats.pool_transfer_nodes == 0)
         return graph
 
     # -- per-block conversion --------------------------------------------------
@@ -291,6 +306,7 @@ class GraphConverter:
                         comm_bytes=max(1.0, op.output_bytes), deps=[compute.node_id],
                         pool_transfer=True, sub_batch=sub_batch_index)
                     self.stats.p2p_nodes += 2
+                    self.stats.pool_transfer_nodes += 2
                     self.stats.compute_nodes += 1
                     pending_attention.append(recv.node_id)
                 else:

@@ -4,8 +4,9 @@ The graph converter lowers hardware-simulation traces into an execution
 graph whose nodes are compute intervals, collective communications,
 point-to-point transfers and host<->device memory movements, each placed on
 a specific device of the system topology.  The system simulator
-(:mod:`repro.system.simulator`) walks this graph with a discrete-event
-engine to produce the iteration's end-to-end latency.
+(:mod:`repro.system.simulator`) walks this graph, in one in-order pass or
+with a discrete-event engine, to produce the iteration's end-to-end
+latency.
 
 The representation intentionally mirrors Chakra execution traces: nodes have
 explicit data dependencies and a device placement, and communication nodes
@@ -16,6 +17,7 @@ timing during system simulation).
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
@@ -89,11 +91,21 @@ class ExecutionGraph:
     The graph owns node-id allocation; use :meth:`add_compute`,
     :meth:`add_collective`, :meth:`add_p2p` and :meth:`add_memory` to build
     it incrementally.
+
+    Attributes
+    ----------
+    in_order_exact:
+        Set by the graph converter when it can prove that, under the
+        discrete-event simulation, every device runs its nodes in node-id
+        order.  The system simulator then evaluates the graph in a single
+        in-order pass with the same makespan.  Hand-built graphs keep the
+        default ``False`` and take the discrete-event simulation.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[int, GraphNode] = {}
         self._next_id = 0
+        self.in_order_exact = False
 
     # -- construction -------------------------------------------------------
 
@@ -178,16 +190,24 @@ class ExecutionGraph:
     def validate(self) -> None:
         """Check referential integrity and acyclicity.
 
+        A graph whose every dependency points at a lower node id is acyclic
+        by construction, so the topological sort runs only when some edge
+        points forward.
+
         Raises
         ------
         ValueError
             If a dependency points at a missing node or the graph has a cycle.
         """
+        forward_edge = False
         for node in self._nodes.values():
             for dep in node.deps:
                 if dep not in self._nodes:
                     raise ValueError(f"node {node.node_id} depends on missing node {dep}")
-        self.topological_order()  # raises on cycles
+                if dep >= node.node_id:
+                    forward_edge = True
+        if forward_edge:
+            self.topological_order()  # raises on cycles
 
     def topological_order(self) -> List[GraphNode]:
         """Nodes in dependency order (Kahn's algorithm).
@@ -206,9 +226,9 @@ class ExecutionGraph:
 
         ready = sorted(nid for nid, deg in in_degree.items() if deg == 0)
         order: List[GraphNode] = []
-        queue = list(ready)
+        queue = deque(ready)
         while queue:
-            nid = queue.pop(0)
+            nid = queue.popleft()
             order.append(self._nodes[nid])
             for child in dependents[nid]:
                 in_degree[child] -= 1

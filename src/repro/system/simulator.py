@@ -1,11 +1,23 @@
-"""System-level discrete-event simulator (the ASTRA-sim substitute).
+"""System-level simulator (the ASTRA-sim substitute).
 
 Takes the execution graph produced by the graph converter, the system
-topology and the network model, and plays the graph forward with a
-discrete-event engine: every device executes its nodes in dependency order,
-one at a time; collectives occupy every participating device; point-to-point
-and host transfers occupy the endpoints for the duration computed by the
-network model.
+topology and the network model, and plays the graph forward: every device
+executes its nodes in dependency order, one at a time; collectives occupy
+every participating device; point-to-point and host transfers occupy the
+endpoints for the duration computed by the network model.
+
+Two paths compute the same makespan:
+
+* the **discrete-event simulation** (DES) handles any valid graph.  It
+  starts each node as soon as its dependencies and devices allow, so a
+  device may run its nodes out of node-id order.
+* the **in-order evaluator** visits the nodes once, in node-id order: a node
+  starts at the latest of its dependencies' end times and its devices' free
+  times.  That is exact only when every device runs its nodes in node-id
+  order under the DES, which the graph converter proves for the graphs it
+  flags :attr:`~repro.graph.execgraph.ExecutionGraph.in_order_exact`.
+  Every other graph takes the DES, which stays the oracle the evaluator is
+  tested against.
 
 The output is the iteration's end-to-end latency (makespan) plus per-device
 utilization and a communication/computation breakdown — the statistics the
@@ -24,7 +36,7 @@ from .events import EventQueue
 from .network import NetworkModel
 from .topology import SystemTopology
 
-__all__ = ["NodeTiming", "SystemSimulationResult", "SystemSimulator"]
+__all__ = ["NodeTiming", "SystemSimulationResult", "SystemSimulator", "devices_of"]
 
 
 @dataclass(frozen=True)
@@ -60,9 +72,18 @@ class SystemSimulationResult:
     device_busy_time:
         Busy seconds per device id.
     node_timings:
-        Per-node start/end times in completion order.
+        Per-node start/end times in completion order.  Only the
+        discrete-event path records them; results of the in-order evaluator
+        leave the list empty.
     num_events:
-        Number of discrete events processed.
+        Number of discrete events processed (``0`` on the in-order path).
+
+    ``makespan`` is exact on both paths: on a graph flagged
+    ``in_order_exact`` the in-order evaluator performs the same float
+    additions and maxima as the discrete-event simulation, so the two agree
+    bit for bit.  The aggregate times (``compute_time``, ``comm_time``,
+    ``memory_time``, ``device_busy_time``) agree to rounding, because the
+    paths sum the per-node durations in different orders.
     """
 
     makespan: float = 0.0
@@ -87,8 +108,26 @@ class SystemSimulationResult:
         return sum(busy) / (len(busy) * self.makespan)
 
 
+# Enum members bound once at import: looking a member up on its class costs
+# several times a global lookup, and these comparisons run for every node.
+_COMPUTE = GraphNodeType.COMPUTE
+_COLLECTIVE = GraphNodeType.COLLECTIVE
+_P2P = GraphNodeType.P2P
+_MEMORY = GraphNodeType.MEMORY
+
+
+def devices_of(node: GraphNode) -> Tuple[int, ...]:
+    """Devices a node occupies while it runs."""
+    node_type = node.node_type
+    if node_type is _COLLECTIVE:
+        return tuple(node.comm_group)
+    if node_type is _P2P and node.peer_device is not None:
+        return (node.device, node.peer_device)
+    return (node.device,)
+
+
 class SystemSimulator:
-    """Discrete-event execution of an :class:`ExecutionGraph`.
+    """Timed execution of an :class:`ExecutionGraph`.
 
     Parameters
     ----------
@@ -104,11 +143,101 @@ class SystemSimulator:
 
     # -- public API ----------------------------------------------------------
 
+    def node_duration(self, node: GraphNode) -> float:
+        """Seconds a node occupies its devices."""
+        node_type = node.node_type
+        if node_type is _COMPUTE:
+            return node.duration
+        if node_type is _COLLECTIVE:
+            return self.network.allreduce_time(node.comm_bytes, len(node.comm_group))
+        if node_type is _P2P:
+            if node.metadata.get("pool_transfer"):
+                return self.network.pool_transfer_time(node.comm_bytes)
+            return self.network.p2p_time(node.comm_bytes)
+        if node_type is _MEMORY:
+            return self.network.host_transfer_time(node.comm_bytes)
+        raise ValueError(f"unknown node type {node_type}")
+
     def simulate(self, graph: ExecutionGraph, start_time: float = 0.0) -> SystemSimulationResult:
         """Run the graph to completion and return timing statistics.
 
-        ``start_time`` offsets all reported times (the serving scheduler
-        passes its current clock so node timings are absolute).
+        Graphs flagged ``in_order_exact`` go through the in-order evaluator;
+        all others, and flagged graphs the evaluator rejects, through the
+        discrete-event simulation.  ``start_time`` offsets the node timings
+        the discrete-event path records (the serving scheduler passes its
+        current clock so they are absolute).
+        """
+        if graph.in_order_exact:
+            result = self.evaluate_in_order(graph)
+            if result is not None:
+                return result
+        return self.simulate_events(graph, start_time)
+
+    def evaluate_in_order(self, graph: ExecutionGraph) -> Optional[SystemSimulationResult]:
+        """One pass over the nodes in node-id order; ``None`` if the graph does not allow it.
+
+        The pass needs node ids ``0..n-1`` in insertion order, every
+        dependency pointing at a lower id and every device in this
+        simulator's topology.  The dependency rule alone proves referential
+        integrity and acyclicity (what :meth:`ExecutionGraph.validate`
+        checks), so a graph that passes needs no topological sort.  Any
+        other graph returns ``None`` for the discrete-event path to validate
+        and report.
+
+        The caller vouches that the graph is ``in_order_exact``; on other
+        graphs the makespan may differ from :meth:`simulate_events`.
+        """
+        node_duration = self.node_duration
+        ends: List[float] = []
+        # Per-device state in lists indexed by device id (cheaper than dict
+        # lookups); a free time of -1.0 marks a device that ran nothing.
+        num_devices = max(self.topology.devices, default=0) + 1
+        device_free = [-1.0] * num_devices
+        busy_time = [0.0] * num_devices
+        compute_time = comm_time = memory_time = 0.0
+        try:
+            for index, node in enumerate(graph):
+                if node.node_id != index:
+                    return None
+                start = 0.0
+                for dep in node.deps:
+                    if not 0 <= dep < index:
+                        return None
+                    end = ends[dep]
+                    if end > start:
+                        start = end
+                devices = devices_of(node)
+                for d in devices:
+                    free = device_free[d]
+                    if free > start:
+                        start = free
+                duration = node_duration(node)
+                end = start + duration
+                ends.append(end)
+                for d in devices:
+                    device_free[d] = end
+                    busy_time[d] += duration
+                node_type = node.node_type
+                if node_type is _COMPUTE:
+                    compute_time += duration
+                elif node_type is _MEMORY:
+                    memory_time += duration
+                else:
+                    comm_time += duration * len(devices)
+        except IndexError:  # a device outside this simulator's topology
+            return None
+        return SystemSimulationResult(
+            makespan=max(ends, default=0.0), compute_time=compute_time,
+            comm_time=comm_time, memory_time=memory_time,
+            device_busy_time={d: busy for d, busy in enumerate(busy_time)
+                              if device_free[d] >= 0.0})
+
+    def simulate_events(self, graph: ExecutionGraph,
+                        start_time: float = 0.0) -> SystemSimulationResult:
+        """Discrete-event simulation of any valid graph (the oracle path).
+
+        Validates the graph first and raises :class:`ValueError` on a missing
+        dependency or a cycle.
         """
         graph.validate()
         result = SystemSimulationResult()
@@ -137,28 +266,8 @@ class SystemSimulator:
         multi_waiters_by_device: Dict[int, List[int]] = {}
         finished: Set[int] = set()
 
-        def devices_of(node: GraphNode) -> Tuple[int, ...]:
-            if node.node_type is GraphNodeType.COLLECTIVE:
-                return tuple(node.comm_group)
-            if node.node_type is GraphNodeType.P2P and node.peer_device is not None:
-                return (node.device, node.peer_device)
-            return (node.device,)
-
-        def node_duration(node: GraphNode) -> float:
-            if node.node_type is GraphNodeType.COMPUTE:
-                return node.duration
-            if node.node_type is GraphNodeType.COLLECTIVE:
-                return self.network.allreduce_time(node.comm_bytes, len(node.comm_group))
-            if node.node_type is GraphNodeType.P2P:
-                if node.metadata.get("pool_transfer"):
-                    return self.network.pool_transfer_time(node.comm_bytes)
-                return self.network.p2p_time(node.comm_bytes)
-            if node.node_type is GraphNodeType.MEMORY:
-                return self.network.host_transfer_time(node.comm_bytes)
-            raise ValueError(f"unknown node type {node.node_type}")
-
         def start_node(node: GraphNode, devices: Tuple[int, ...]) -> None:
-            duration = node_duration(node)
+            duration = self.node_duration(node)
             start = queue.now
             for d in devices:
                 device_busy[d] = True
@@ -221,9 +330,9 @@ class SystemSimulator:
             duration = end - start
             for d in devices:
                 result.device_busy_time[d] = result.device_busy_time.get(d, 0.0) + duration
-            if node.node_type is GraphNodeType.COMPUTE:
+            if node.node_type is _COMPUTE:
                 result.compute_time += duration
-            elif node.node_type is GraphNodeType.MEMORY:
+            elif node.node_type is _MEMORY:
                 result.memory_time += duration
             else:
                 result.comm_time += duration * len(devices)

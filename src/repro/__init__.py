@@ -5,9 +5,11 @@ inference serving at scale.  This package re-implements the full system —
 model operator graphs, request workloads, the Orca-style iteration-level
 scheduler with vLLM paged KV caching, a pluggable execution-engine stack
 (NPU systolic-array, PIM and GPU cost models), the Chakra-style graph
-converter with tensor/pipeline/hybrid parallelism, and an ASTRA-sim-style
-system simulator (an exact in-order pass on the graphs the converter proves
-safe, discrete-event simulation otherwise) — plus the baselines and
+converter with tensor/pipeline/hybrid parallelism (each transformer block
+laid out once per pipeline stage), and an ASTRA-sim-style system simulator
+(an exact in-order replay of the recorded blocks on the layouts the
+converter proves safe, discrete-event simulation of the materialised graph
+otherwise) — plus the baselines and
 benchmark harnesses needed to regenerate every table and figure of the
 paper's evaluation.
 

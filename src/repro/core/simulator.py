@@ -8,11 +8,13 @@ workflow of Figure 4:
 2. The **execution engine stack** compiles the model for that batch (with
    block-replication reuse), maps operators onto the NPU / PIM engines and
    produces a latency trace, consulting the computation-reuse cache.
-3. The **graph converter** replicates the block trace across the model's
-   blocks, places work onto devices according to the parallelism strategy
-   and inserts collectives, pipeline transfers and KV-migration operators.
-4. The **system simulator** (ASTRA-sim substitute) plays the execution graph
-   forward and reports the iteration latency.
+3. The **graph converter** lays the block trace out once per pipeline
+   stage, places work onto devices according to the parallelism strategy,
+   inserts collectives, pipeline transfers and KV-migration operators, and
+   repeats the recorded block across the stage's blocks.
+4. The **system simulator** (ASTRA-sim substitute) replays that layout block
+   by block (or plays its materialised execution graph forward) and reports
+   the iteration latency.
 5. The latency feeds back into the scheduler clock and the loop repeats
    until every request finishes.
 """
@@ -277,7 +279,7 @@ class LLMServingSim:
                 full_graph, sub_batch_operator_lists)
 
         with self.simtime.measure("graph_converter"):
-            exec_graph = self.converter.convert(
+            layout = self.converter.convert(
                 model=self.model,
                 sub_batch_block_traces=stack_result.sub_batch_traces,
                 embedding_trace=list(stack_result.embedding_and_head_trace)[:1],
@@ -287,7 +289,7 @@ class LLMServingSim:
             )
 
         with self.simtime.measure("system_sim"):
-            system_result = self.system_simulator.simulate(exec_graph,
+            system_result = self.system_simulator.simulate(layout,
                                                            start_time=self.scheduler.clock)
 
         self.simtime.account_iteration(stack_result.report, self.converter.stats,

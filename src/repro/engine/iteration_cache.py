@@ -38,12 +38,15 @@ Three sharing tiers build on the plain :class:`IterationReuseCache`:
   every signature once per worker).
 * :func:`save_iteration_cache` / :func:`load_iteration_cache` — optional
   on-disk persistence (``ClusterConfig.cache_dir``) keyed by the owning
-  serving configuration, so parameter sweeps revisiting a configuration
-  warm-start instead of re-simulating known signatures.
+  serving configuration and by a digest of the simulator's own sources
+  (:func:`code_digest`), so parameter sweeps revisiting a configuration
+  warm-start instead of re-simulating known signatures, and a cache written
+  by another simulator version is never replayed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -60,8 +63,8 @@ from .stack import EngineStackReport
 
 __all__ = ["IterationCacheStats", "IterationCacheEntry", "IterationReuseCache",
            "SharedIterationCache", "RemoteIterationCache", "IterationCacheService",
-           "iteration_signature", "iteration_cache_file", "save_iteration_cache",
-           "load_iteration_cache"]
+           "iteration_signature", "code_digest", "iteration_cache_file",
+           "save_iteration_cache", "load_iteration_cache"]
 
 
 def iteration_signature(batch: BatchComposition,
@@ -448,15 +451,32 @@ class IterationCacheService:
 _CACHE_SCHEMA = "iteration-cache/v1"
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 of the ``repro`` package sources, read in sorted path order.
+
+    Memoized latencies are a function of the simulator code as much as of
+    the configuration.  Computed once, on first use; only runs with
+    ``cache_dir`` set call it.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def iteration_cache_file(cache_dir: Union[str, Path], config) -> Path:
     """Cache file for one serving configuration inside ``cache_dir``.
 
-    Entries are only valid for the exact configuration that produced them,
-    so the file name carries a digest of the configuration's repr — two
-    replica classes (or two sweep points) never collide.
+    Entries are only valid for the exact configuration and simulator code
+    that produced them, so the file name carries a digest of the
+    configuration's repr and of :func:`code_digest` — two replica classes
+    (or two sweep points, or two simulator versions) never collide.
     """
     digest = hashlib.sha256(repr(config).encode()).hexdigest()[:16]
-    return Path(cache_dir) / f"iteration-cache-{digest}.pkl"
+    return Path(cache_dir) / f"iteration-cache-{digest}-{code_digest()[:16]}.pkl"
 
 
 def save_iteration_cache(cache: IterationReuseCache, path: Union[str, Path],
@@ -464,7 +484,7 @@ def save_iteration_cache(cache: IterationReuseCache, path: Union[str, Path],
     """Persist a cache's entries atomically (write-then-rename)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"schema": _CACHE_SCHEMA, "config": repr(config),
+    payload = {"schema": _CACHE_SCHEMA, "config": repr(config), "code": code_digest(),
                "entries": dict(cache._entries)}
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
@@ -477,9 +497,9 @@ def load_iteration_cache(cache: IterationReuseCache, path: Union[str, Path],
                          config) -> int:
     """Warm-start a cache from disk; returns the number of entries loaded.
 
-    A missing, corrupt, or configuration-mismatched file loads nothing — a
-    stale cache directory must never poison a run, so every failure mode
-    degrades to a cold start.
+    A missing, corrupt, configuration-mismatched or code-mismatched file
+    loads nothing — a stale cache directory must never poison a run, so
+    every failure mode degrades to a cold start.
     """
     path = Path(path)
     if not path.is_file():
@@ -488,7 +508,8 @@ def load_iteration_cache(cache: IterationReuseCache, path: Union[str, Path],
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
         if (payload.get("schema") != _CACHE_SCHEMA
-                or payload.get("config") != repr(config)):
+                or payload.get("config") != repr(config)
+                or payload.get("code") != code_digest()):
             return 0
         entries = payload["entries"]
     except Exception:

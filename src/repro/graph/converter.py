@@ -2,10 +2,12 @@
 
 The converter is the third component of the LLMServingSim workflow
 (Figure 4): it takes the per-operator latency trace produced by the
-execution engine stack for one representative transformer block, replicates
-it across every block of the model, places the work onto the devices of the
-system topology according to the configured parallelism strategy, and
-inserts the communication operators the strategy requires:
+execution engine stack for one representative transformer block, places the
+work onto the devices of the system topology according to the configured
+parallelism strategy, and inserts the communication operators the strategy
+requires.  Every block of a pipeline stage is the same work on the same
+devices, so the block is laid out once per stage and repeated across the
+stage's blocks in the returned :class:`~repro.graph.layout.IterationLayout`:
 
 * tensor parallelism — each batched operator is sharded across the group and
   two ALL-REDUCE collectives are inserted per block;
@@ -24,17 +26,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..engine.trace import TraceEntry
 from ..models.architectures import ModelConfig
 from ..scheduler.kv_cache import KVMemoryEvent, KVMemoryEventType
 from ..system.topology import DeviceType, PIMMode, SystemTopology
 from .collectives import CollectiveSizing
-from .execgraph import ExecutionGraph
+from .execgraph import GraphNodeType, devices_of
+from .layout import IterationLayout, RecordedBlock, Segment, input_slot
 from .parallelism import ParallelismPlan
 
 __all__ = ["GraphGranularity", "GraphConverter", "ConversionStats"]
+
+_COMPUTE = GraphNodeType.COMPUTE
+_COLLECTIVE = GraphNodeType.COLLECTIVE
+_P2P = GraphNodeType.P2P
+_MEMORY = GraphNodeType.MEMORY
 
 
 class GraphGranularity(enum.Enum):
@@ -54,6 +62,9 @@ class GraphGranularity(enum.Enum):
 @dataclass
 class ConversionStats:
     """Size statistics of a converted graph (used by simulation-time accounting).
+
+    The counts are those of the materialised graph: each recorded block's
+    counts times its repeat count.
 
     ``pool_transfer_nodes`` counts the NPU<->PIM pool transfers among the
     ``p2p_nodes``.
@@ -150,8 +161,13 @@ class GraphConverter:
                 embedding_trace: Sequence[TraceEntry],
                 head_trace: Sequence[TraceEntry],
                 memory_events: Sequence[KVMemoryEvent] = (),
-                total_new_tokens: int = 0) -> ExecutionGraph:
-        """Build the execution graph of one iteration.
+                total_new_tokens: int = 0) -> IterationLayout:
+        """Lay out one iteration.
+
+        Each (sub-batch, stage) block is recorded once and repeated
+        ``plan.blocks_for_stage`` times in the returned layout;
+        :meth:`IterationLayout.materialize` expands it into the full
+        execution graph.  :attr:`stats` counts the nodes of that graph.
 
         Parameters
         ----------
@@ -166,118 +182,137 @@ class GraphConverter:
             KV-cache migrations decided by the scheduler for this iteration.
         total_new_tokens:
             Total tokens processed this iteration (payload fallback).
+
+        Raises
+        ------
+        ValueError
+            If a recorded block places work on a device outside the topology.
         """
         self.stats = ConversionStats()
-        graph = ExecutionGraph()
         sizing = CollectiveSizing(model)
         tp = self.plan.tensor_parallel
         groups = self.topology.compute_groups
-        pim_mode = self.topology.pim_mode
-        pim_pool = self.topology.pim_pool
 
         if self.granularity is GraphGranularity.BLOCK:
             sub_batch_block_traces = [self._coarsen(entries) for entries in sub_batch_block_traces]
 
         # KV-cache migrations execute on the first device of the first group;
         # reloads gate the iteration's compute, evictions merely occupy the link.
-        memory_node_ids: List[int] = []
-        reload_node_ids: List[int] = []
+        prologue = RecordedBlock()
+        reloads: List[int] = []
         for index, event in enumerate(memory_events):
-            node = graph.add_memory(
-                name=f"kv_{event.event_type.value}.r{event.request_id}.{index}",
-                device=groups[0][0], comm_bytes=event.num_bytes,
-                direction="store" if event.event_type is KVMemoryEventType.EVICT else "load",
-                request_id=event.request_id)
-            memory_node_ids.append(node.node_id)
+            slot = prologue.add(
+                _MEMORY, f"kv_{event.event_type.value}.r{event.request_id}.{index}",
+                groups[0][0], comm_bytes=event.num_bytes,
+                metadata={"request_id": event.request_id,
+                          "direction": "store" if event.event_type is KVMemoryEventType.EVICT
+                          else "load"})
             if event.event_type is KVMemoryEventType.RELOAD:
-                reload_node_ids.append(node.node_id)
-            self.stats.memory_nodes += 1
+                reloads.append(slot)
 
         # Embedding on the first stage (sharded across its devices).
-        embed_ids: List[int] = []
-        for entry in embedding_trace:
-            for device in groups[0]:
-                node = graph.add_compute(
-                    name=f"{entry.operator.name}.d{device}", device=device,
-                    duration=entry.latency / tp, deps=reload_node_ids,
-                    phase=entry.operator.phase.value)
-                embed_ids.append(node.node_id)
-                self.stats.compute_nodes += 1
+        embeds = tuple(
+            prologue.add(_COMPUTE, f"{entry.operator.name}.d{device}", device, reloads,
+                         duration=entry.latency / tp,
+                         metadata={"phase": entry.operator.phase.value})
+            for entry in embedding_trace for device in groups[0])
+        prologue.outputs = [embeds] * len(groups[0])
 
         # Per sub-batch chains through every block of every stage.
-        final_node_ids: List[int] = []
-        converted_sub_batches = 0
+        chains: List[List[Segment]] = []
         for sub_batch_index, entries in enumerate(sub_batch_block_traces):
             if not entries:
                 continue
-            converted_sub_batches += 1
             tokens = self._sub_batch_tokens(entries, total_new_tokens)
-            # The dependency frontier of this sub-batch on each device.
-            last_on_device: Dict[int, List[int]] = {d: list(embed_ids) for d in groups[0]}
-            prev_stage_tail: List[int] = []
-
+            chain: List[Segment] = []
             for stage_index, group in enumerate(groups):
-                block_start, block_end = self.plan.blocks_for_stage(stage_index)
                 if stage_index > 0:
                     # Pipeline hand-off from the previous stage.
-                    p2p = graph.add_p2p(
-                        name=f"sb{sub_batch_index}.stage{stage_index}.recv",
-                        src=groups[stage_index - 1][0], dst=group[0],
+                    previous = groups[stage_index - 1]
+                    recv = RecordedBlock()
+                    slot = recv.add(
+                        _P2P, f"sb{sub_batch_index}.stage{stage_index}.recv", previous[0],
+                        [input_slot(p) for p in range(len(previous))], peer_device=group[0],
                         comm_bytes=sizing.pipeline_transfer_bytes(tokens),
-                        deps=prev_stage_tail, sub_batch=sub_batch_index)
-                    self.stats.p2p_nodes += 1
-                    last_on_device = {d: [p2p.node_id] for d in group}
-
-                for block in range(block_start, block_end):
-                    last_on_device = self._convert_block(
-                        graph, entries, model, sizing, tokens, sub_batch_index, block,
-                        group, tp, pim_mode, pim_pool, last_on_device)
-
-                prev_stage_tail = sorted({nid for ids in last_on_device.values() for nid in ids})
-
-            final_node_ids.extend(prev_stage_tail)
+                        metadata={"sub_batch": sub_batch_index})
+                    recv.outputs = [(slot,)] * len(group)
+                    chain.append(Segment(recv))
+                block_start, block_end = self.plan.blocks_for_stage(stage_index)
+                if block_end > block_start:
+                    block = self._record_block(entries, model, sizing, tokens,
+                                               sub_batch_index, group, tp)
+                    chain.append(Segment(block, block_end - block_start,
+                                         sub_batch_index, block_start))
+            chains.append(chain)
 
         # LM head on the last stage, after every sub-batch finished.
+        head = RecordedBlock()
         last_group = groups[-1]
+        tails = [input_slot(p) for p in range(len(last_group) * len(chains))]
         for entry in head_trace:
             for device in last_group:
-                node = graph.add_compute(
-                    name=f"{entry.operator.name}.d{device}", device=device,
-                    duration=entry.latency / tp, deps=final_node_ids,
-                    phase=entry.operator.phase.value)
-                self.stats.compute_nodes += 1
+                head.add(_COMPUTE, f"{entry.operator.name}.d{device}", device, tails,
+                         duration=entry.latency / tp,
+                         metadata={"phase": entry.operator.phase.value})
 
+        layout = IterationLayout(Segment(prologue), chains, Segment(head),
+                                 num_devices=max(self.topology.devices) + 1)
+        for segment in layout.segments():
+            self._tally(segment)
         # With one sub-batch chain and no pool round trips, every device
-        # runs its nodes in node-id order under the discrete-event
-        # simulation, so the system simulator may evaluate the graph in one
-        # in-order pass with the same makespan (the differential tests check
-        # this against the discrete-event path).  Interleaved sub-batches
-        # and pool transfers reorder a device's work.
-        graph.in_order_exact = (converted_sub_batches <= 1
-                                and self.stats.pool_transfer_nodes == 0)
-        return graph
+        # runs its nodes in node order under the discrete-event simulation,
+        # so the system simulator may replay the layout in one in-order pass
+        # with the same makespan (the differential tests check this against
+        # the discrete-event path).  Interleaved sub-batches and pool
+        # transfers reorder a device's work.
+        layout.in_order_exact = len(chains) <= 1 and self.stats.pool_transfer_nodes == 0
+        return layout
 
-    # -- per-block conversion --------------------------------------------------
+    def _tally(self, segment: Segment) -> None:
+        """Add one segment's nodes, times its repeat count, to :attr:`stats`."""
+        stats, repeats = self.stats, segment.repeats
+        for node in segment.block.nodes:
+            node_type = node.node_type
+            if node_type is _COMPUTE:
+                stats.compute_nodes += repeats
+            elif node_type is _COLLECTIVE:
+                stats.collective_nodes += repeats
+                stats.collective_participants += repeats * len(node.comm_group)
+            elif node_type is _P2P:
+                stats.p2p_nodes += repeats
+                if node.metadata.get("pool_transfer"):
+                    stats.pool_transfer_nodes += repeats
+            else:
+                stats.memory_nodes += repeats
 
-    def _convert_block(self, graph: ExecutionGraph, entries: Sequence[TraceEntry],
-                       model: ModelConfig, sizing: CollectiveSizing, tokens: int,
-                       sub_batch_index: int, block: int, group: Sequence[int], tp: int,
-                       pim_mode: PIMMode, pim_pool: Sequence[int],
-                       last_on_device: Dict[int, List[int]]) -> Dict[int, List[int]]:
-        """Lay out one transformer block of one sub-batch onto a device group."""
+    # -- per-block layout ------------------------------------------------------
+
+    def _record_block(self, entries: Sequence[TraceEntry], model: ModelConfig,
+                      sizing: CollectiveSizing, tokens: int, sub_batch_index: int,
+                      group: Sequence[int], tp: int) -> RecordedBlock:
+        """Lay out one transformer block of one sub-batch onto a device group.
+
+        Raises :class:`ValueError` if the block uses a device outside the
+        topology.
+        """
+        block = RecordedBlock()
+        pim_mode = self.topology.pim_mode
+        pim_pool = self.topology.pim_pool
+        per_block = {"sub_batch": sub_batch_index}
+        # The dependency frontier on each device, starting at the input.
+        last_on_device: Dict[int, Tuple[int, ...]] = {
+            device: (input_slot(position),) for position, device in enumerate(group)}
         pending_attention: List[int] = []
         attention_index = 0
         allreduce_count = 0
-        prefix = f"sb{sub_batch_index}.b{block}"
 
-        def add_allreduce(deps: List[int], label: str) -> int:
-            node = graph.add_collective(
-                name=f"{prefix}.allreduce{label}", devices=list(group),
-                comm_bytes=sizing.allreduce_bytes(tokens), deps=deps,
-                sub_batch=sub_batch_index, block=block)
-            self.stats.collective_nodes += 1
-            self.stats.collective_participants += len(group)
-            return node.node_id
+        def add_allreduce(deps: Sequence[int]) -> Dict[int, Tuple[int, ...]]:
+            nonlocal allreduce_count
+            allreduce_count += 1
+            slot = block.add(_COLLECTIVE, f"allreduce{allreduce_count}", group[0], deps,
+                             comm_bytes=sizing.allreduce_bytes(tokens), comm_group=tuple(group),
+                             metadata=per_block, per_block=True)
+            return {device: (slot,) for device in group}
 
         for entry in entries:
             op = entry.operator
@@ -285,53 +320,38 @@ class GraphConverter:
                 npu_device = self._attention_device(attention_index, group)
                 if entry.engine is DeviceType.PIM and pim_mode is PIMMode.LOCAL:
                     target = self.topology.pim_partner(npu_device) or npu_device
-                    deps = last_on_device[npu_device]
-                    node = graph.add_compute(
-                        name=f"{prefix}.{op.name}", device=target, duration=entry.latency,
-                        deps=deps, sub_batch=sub_batch_index, block=block)
-                    self.stats.compute_nodes += 1
-                    pending_attention.append(node.node_id)
+                    pending_attention.append(block.add(
+                        _COMPUTE, op.name, target, last_on_device[npu_device],
+                        duration=entry.latency, metadata=per_block, per_block=True))
                 elif entry.engine is DeviceType.PIM and pim_mode is PIMMode.POOL and pim_pool:
                     pim_device = pim_pool[attention_index % len(pim_pool)]
                     send_bytes = max(1.0, float(op.m * model.hidden_size * model.dtype_bytes))
-                    send = graph.add_p2p(
-                        name=f"{prefix}.{op.name}.send", src=npu_device, dst=pim_device,
-                        comm_bytes=send_bytes, deps=last_on_device[npu_device],
-                        pool_transfer=True, sub_batch=sub_batch_index)
-                    compute = graph.add_compute(
-                        name=f"{prefix}.{op.name}", device=pim_device, duration=entry.latency,
-                        deps=[send.node_id], sub_batch=sub_batch_index, block=block)
-                    recv = graph.add_p2p(
-                        name=f"{prefix}.{op.name}.recv", src=pim_device, dst=npu_device,
-                        comm_bytes=max(1.0, op.output_bytes), deps=[compute.node_id],
-                        pool_transfer=True, sub_batch=sub_batch_index)
-                    self.stats.p2p_nodes += 2
-                    self.stats.pool_transfer_nodes += 2
-                    self.stats.compute_nodes += 1
-                    pending_attention.append(recv.node_id)
+                    transfer = {"pool_transfer": True, "sub_batch": sub_batch_index}
+                    send = block.add(_P2P, f"{op.name}.send", npu_device,
+                                     last_on_device[npu_device], peer_device=pim_device,
+                                     comm_bytes=send_bytes, metadata=transfer)
+                    compute = block.add(_COMPUTE, op.name, pim_device, (send,),
+                                        duration=entry.latency, metadata=per_block,
+                                        per_block=True)
+                    pending_attention.append(block.add(
+                        _P2P, f"{op.name}.recv", pim_device, (compute,), peer_device=npu_device,
+                        comm_bytes=max(1.0, op.output_bytes), metadata=transfer))
                 else:
-                    deps = last_on_device[npu_device]
-                    node = graph.add_compute(
-                        name=f"{prefix}.{op.name}", device=npu_device, duration=entry.latency,
-                        deps=deps, sub_batch=sub_batch_index, block=block)
-                    self.stats.compute_nodes += 1
-                    pending_attention.append(node.node_id)
+                    pending_attention.append(block.add(
+                        _COMPUTE, op.name, npu_device, last_on_device[npu_device],
+                        duration=entry.latency, metadata=per_block, per_block=True))
                 attention_index += 1
                 continue
 
             # Batched (non-attention) operator: sharded across the group.
-            new_ids: List[int] = []
+            new_slots: List[int] = []
             for device in group:
-                deps = list(last_on_device[device])
-                if pending_attention:
-                    deps.extend(pending_attention)
-                node = graph.add_compute(
-                    name=f"{prefix}.{op.name}.d{device}", device=device,
-                    duration=entry.latency / tp, deps=deps,
-                    sub_batch=sub_batch_index, block=block)
-                self.stats.compute_nodes += 1
-                new_ids.append(node.node_id)
-                last_on_device[device] = [node.node_id]
+                slot = block.add(_COMPUTE, f"{op.name}.d{device}", device,
+                                 last_on_device[device] + tuple(pending_attention),
+                                 duration=entry.latency / tp, metadata=per_block,
+                                 per_block=True)
+                new_slots.append(slot)
+                last_on_device[device] = (slot,)
 
             if pending_attention:
                 # This is the first batched operator after the attention
@@ -339,14 +359,17 @@ class GraphConverter:
                 # tensor-parallel all-reduce.
                 pending_attention = []
                 if tp > 1:
-                    allreduce_count += 1
-                    ar = add_allreduce(new_ids, str(allreduce_count))
-                    last_on_device = {d: [ar] for d in group}
+                    last_on_device = add_allreduce(new_slots)
 
         # End-of-block all-reduce after the FFN down projection.
         if tp > 1:
-            tail = sorted({nid for ids in last_on_device.values() for nid in ids})
-            allreduce_count += 1
-            ar = add_allreduce(tail, str(allreduce_count))
-            last_on_device = {d: [ar] for d in group}
-        return last_on_device
+            last_on_device = add_allreduce(
+                sorted({slot for slots in last_on_device.values() for slot in slots}))
+        block.outputs = [last_on_device[device] for device in group]
+
+        for node in block.nodes:
+            for device in devices_of(node):
+                if device not in self.topology.devices:
+                    raise ValueError(f"node {node.name!r} of the recorded block is placed on "
+                                     f"device {device}, outside the topology")
+        return block

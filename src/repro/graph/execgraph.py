@@ -4,9 +4,11 @@ The graph converter lowers hardware-simulation traces into an execution
 graph whose nodes are compute intervals, collective communications,
 point-to-point transfers and host<->device memory movements, each placed on
 a specific device of the system topology.  The system simulator
-(:mod:`repro.system.simulator`) walks this graph, in one in-order pass or
-with a discrete-event engine, to produce the iteration's end-to-end
-latency.
+(:mod:`repro.system.simulator`) plays this graph forward with a
+discrete-event engine to produce the iteration's end-to-end latency.  The
+graph converter produces an :class:`~repro.graph.layout.IterationLayout`,
+which the system simulator replays without building a graph when it can,
+and materialises into an :class:`ExecutionGraph` otherwise.
 
 The representation intentionally mirrors Chakra execution traces: nodes have
 explicit data dependencies and a device placement, and communication nodes
@@ -19,9 +21,9 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["GraphNodeType", "GraphNode", "ExecutionGraph"]
+__all__ = ["GraphNodeType", "GraphNode", "ExecutionGraph", "devices_of"]
 
 
 class GraphNodeType(enum.Enum):
@@ -81,8 +83,29 @@ class GraphNode:
             raise ValueError("duration must be non-negative")
         if self.comm_bytes < 0:
             raise ValueError("comm_bytes must be non-negative")
-        self.deps = set(self.deps)
+        if not isinstance(self.deps, set):
+            self.deps = set(self.deps)
         self.comm_group = tuple(self.comm_group)
+
+
+# Enum members bound once at import: looking a member up on its class costs
+# several times a global lookup, and this runs for every node simulated.
+_COLLECTIVE = GraphNodeType.COLLECTIVE
+_P2P = GraphNodeType.P2P
+
+
+def devices_of(node) -> Tuple[int, ...]:
+    """Devices a node occupies while it runs.
+
+    Accepts a :class:`GraphNode` or a recorded
+    :class:`~repro.graph.layout.LayoutNode` (they share the placement fields).
+    """
+    node_type = node.node_type
+    if node_type is _COLLECTIVE:
+        return tuple(node.comm_group)
+    if node_type is _P2P and node.peer_device is not None:
+        return (node.device, node.peer_device)
+    return (node.device,)
 
 
 class ExecutionGraph:
@@ -90,40 +113,33 @@ class ExecutionGraph:
 
     The graph owns node-id allocation; use :meth:`add_compute`,
     :meth:`add_collective`, :meth:`add_p2p` and :meth:`add_memory` to build
-    it incrementally.
-
-    Attributes
-    ----------
-    in_order_exact:
-        Set by the graph converter when it can prove that, under the
-        discrete-event simulation, every device runs its nodes in node-id
-        order.  The system simulator then evaluates the graph in a single
-        in-order pass with the same makespan.  Hand-built graphs keep the
-        default ``False`` and take the discrete-event simulation.
+    it incrementally.  Each copies its ``deps`` and ``metadata`` arguments
+    once; :meth:`append` takes ownership of them instead.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[int, GraphNode] = {}
         self._next_id = 0
-        self.in_order_exact = False
 
     # -- construction -------------------------------------------------------
 
-    def _allocate(self, node: GraphNode) -> GraphNode:
-        self._nodes[node.node_id] = node
-        return node
-
-    def _new_id(self) -> int:
+    def append(self, node_type: GraphNodeType, name: str, device: int, deps: Set[int],
+               metadata: Dict[str, object], duration: float = 0.0, comm_bytes: float = 0.0,
+               comm_group: Sequence[int] = (), peer_device: Optional[int] = None) -> GraphNode:
+        """Add a node with the next id, keeping ``deps`` and ``metadata`` as given (no copy)."""
         node_id = self._next_id
         self._next_id += 1
-        return node_id
+        node = GraphNode(node_id=node_id, name=name, node_type=node_type, device=device,
+                         duration=duration, comm_bytes=comm_bytes, comm_group=comm_group,
+                         peer_device=peer_device, deps=deps, metadata=metadata)
+        self._nodes[node_id] = node
+        return node
 
     def add_compute(self, name: str, device: int, duration: float,
                     deps: Iterable[int] = (), **metadata: object) -> GraphNode:
         """Add a fixed-duration compute node."""
-        return self._allocate(GraphNode(
-            node_id=self._new_id(), name=name, node_type=GraphNodeType.COMPUTE,
-            device=device, duration=duration, deps=set(deps), metadata=dict(metadata)))
+        return self.append(GraphNodeType.COMPUTE, name, device, set(deps), metadata,
+                           duration=duration)
 
     def add_collective(self, name: str, devices: Sequence[int], comm_bytes: float,
                        deps: Iterable[int] = (), **metadata: object) -> GraphNode:
@@ -131,18 +147,14 @@ class ExecutionGraph:
         devices = tuple(devices)
         if not devices:
             raise ValueError("a collective needs at least one participating device")
-        return self._allocate(GraphNode(
-            node_id=self._new_id(), name=name, node_type=GraphNodeType.COLLECTIVE,
-            device=devices[0], comm_bytes=comm_bytes, comm_group=devices,
-            deps=set(deps), metadata=dict(metadata)))
+        return self.append(GraphNodeType.COLLECTIVE, name, devices[0], set(deps), metadata,
+                           comm_bytes=comm_bytes, comm_group=devices)
 
     def add_p2p(self, name: str, src: int, dst: int, comm_bytes: float,
                 deps: Iterable[int] = (), **metadata: object) -> GraphNode:
         """Add a point-to-point transfer from ``src`` to ``dst``."""
-        return self._allocate(GraphNode(
-            node_id=self._new_id(), name=name, node_type=GraphNodeType.P2P,
-            device=src, peer_device=dst, comm_bytes=comm_bytes,
-            deps=set(deps), metadata=dict(metadata)))
+        return self.append(GraphNodeType.P2P, name, src, set(deps), metadata,
+                           comm_bytes=comm_bytes, peer_device=dst)
 
     def add_memory(self, name: str, device: int, comm_bytes: float, direction: str,
                    deps: Iterable[int] = (), **metadata: object) -> GraphNode:
@@ -153,11 +165,9 @@ class ExecutionGraph:
         """
         if direction not in ("store", "load"):
             raise ValueError("direction must be 'store' or 'load'")
-        meta = dict(metadata)
-        meta["direction"] = direction
-        return self._allocate(GraphNode(
-            node_id=self._new_id(), name=name, node_type=GraphNodeType.MEMORY,
-            device=device, comm_bytes=comm_bytes, deps=set(deps), metadata=meta))
+        metadata["direction"] = direction
+        return self.append(GraphNodeType.MEMORY, name, device, set(deps), metadata,
+                           comm_bytes=comm_bytes)
 
     # -- queries ------------------------------------------------------------
 

@@ -189,7 +189,10 @@ class IterationLevelScheduler(BaseScheduler):
                     self.kv_manager.reload(request_id)
                     self.stats.reloads += 1
                     request = self._requests[request_id]
-                    if request in self.running and request not in generation_requests:
+                    # A reload that fills the cache leaves no page to grow
+                    # into; the request then generates from next iteration.
+                    if (request in self.running and request not in generation_requests
+                            and self.kv_manager.can_grow(request_id, 1)):
                         self.kv_manager.grow(request_id, 1)
                         generation_requests.append(request)
             memory_events.extend(self.kv_manager.drain_events())

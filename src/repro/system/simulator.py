@@ -1,23 +1,27 @@
 """System-level simulator (the ASTRA-sim substitute).
 
-Takes the execution graph produced by the graph converter, the system
-topology and the network model, and plays the graph forward: every device
-executes its nodes in dependency order, one at a time; collectives occupy
-every participating device; point-to-point and host transfers occupy the
-endpoints for the duration computed by the network model.
+Takes the iteration layout produced by the graph converter (or any
+execution graph), the system topology and the network model, and plays the
+work forward: every device executes its nodes in dependency order, one at a
+time; collectives occupy every participating device; point-to-point and
+host transfers occupy the endpoints for the duration computed by the
+network model.
 
 Two paths compute the same makespan:
 
 * the **discrete-event simulation** (DES) handles any valid graph.  It
   starts each node as soon as its dependencies and devices allow, so a
   device may run its nodes out of node-id order.
-* the **in-order evaluator** visits the nodes once, in node-id order: a node
-  starts at the latest of its dependencies' end times and its devices' free
-  times.  That is exact only when every device runs its nodes in node-id
-  order under the DES, which the graph converter proves for the graphs it
-  flags :attr:`~repro.graph.execgraph.ExecutionGraph.in_order_exact`.
-  Every other graph takes the DES, which stays the oracle the evaluator is
-  tested against.
+* the **block replay** visits the nodes of a layout once, in node order,
+  without building a graph: a node starts at the latest of its
+  dependencies' end times and its devices' free times.  Each recorded
+  block's durations are computed once and its nodes replayed once per
+  block it stands for.  That is exact only when every device runs its
+  nodes in node order under the DES, which the graph converter proves for
+  the layouts it flags
+  :attr:`~repro.graph.layout.IterationLayout.in_order_exact`.  Every other
+  layout is materialised into its execution graph and takes the DES, which
+  stays the oracle the replay is tested against.
 
 The output is the iteration's end-to-end latency (makespan) plus per-device
 utilization and a communication/computation breakdown — the statistics the
@@ -29,9 +33,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
-from ..graph.execgraph import ExecutionGraph, GraphNode, GraphNodeType
+from ..graph.execgraph import ExecutionGraph, GraphNode, GraphNodeType, devices_of
+from ..graph.layout import IterationLayout, LayoutNode, RecordedBlock, Segment
 from .events import EventQueue
 from .network import NetworkModel
 from .topology import SystemTopology
@@ -73,17 +78,17 @@ class SystemSimulationResult:
         Busy seconds per device id.
     node_timings:
         Per-node start/end times in completion order.  Only the
-        discrete-event path records them; results of the in-order evaluator
+        discrete-event path records them; results of the block replay
         leave the list empty.
     num_events:
-        Number of discrete events processed (``0`` on the in-order path).
+        Number of discrete events processed (``0`` on the replay path).
 
-    ``makespan`` is exact on both paths: on a graph flagged
-    ``in_order_exact`` the in-order evaluator performs the same float
-    additions and maxima as the discrete-event simulation, so the two agree
-    bit for bit.  The aggregate times (``compute_time``, ``comm_time``,
-    ``memory_time``, ``device_busy_time``) agree to rounding, because the
-    paths sum the per-node durations in different orders.
+    ``makespan`` is exact on both paths: on a layout flagged
+    ``in_order_exact`` the block replay performs the same float additions
+    and maxima as the discrete-event simulation of the materialised graph,
+    so the two agree bit for bit.  The aggregate times (``compute_time``,
+    ``comm_time``, ``memory_time``, ``device_busy_time``) agree to rounding,
+    because the paths sum the per-node durations in different orders.
     """
 
     makespan: float = 0.0
@@ -116,18 +121,8 @@ _P2P = GraphNodeType.P2P
 _MEMORY = GraphNodeType.MEMORY
 
 
-def devices_of(node: GraphNode) -> Tuple[int, ...]:
-    """Devices a node occupies while it runs."""
-    node_type = node.node_type
-    if node_type is _COLLECTIVE:
-        return tuple(node.comm_group)
-    if node_type is _P2P and node.peer_device is not None:
-        return (node.device, node.peer_device)
-    return (node.device,)
-
-
 class SystemSimulator:
-    """Timed execution of an :class:`ExecutionGraph`.
+    """Timed execution of an :class:`IterationLayout` or an :class:`ExecutionGraph`.
 
     Parameters
     ----------
@@ -143,7 +138,7 @@ class SystemSimulator:
 
     # -- public API ----------------------------------------------------------
 
-    def node_duration(self, node: GraphNode) -> float:
+    def node_duration(self, node: Union[GraphNode, LayoutNode]) -> float:
         """Seconds a node occupies its devices."""
         node_type = node.node_type
         if node_type is _COMPUTE:
@@ -158,79 +153,145 @@ class SystemSimulator:
             return self.network.host_transfer_time(node.comm_bytes)
         raise ValueError(f"unknown node type {node_type}")
 
-    def simulate(self, graph: ExecutionGraph, start_time: float = 0.0) -> SystemSimulationResult:
-        """Run the graph to completion and return timing statistics.
+    def simulate(self, work: Union[IterationLayout, ExecutionGraph],
+                 start_time: float = 0.0) -> SystemSimulationResult:
+        """Run an iteration layout or an execution graph to completion.
 
-        Graphs flagged ``in_order_exact`` go through the in-order evaluator;
-        all others, and flagged graphs the evaluator rejects, through the
-        discrete-event simulation.  ``start_time`` offsets the node timings
-        the discrete-event path records (the serving scheduler passes its
-        current clock so they are absolute).
+        Layouts flagged ``in_order_exact`` go through the block replay
+        (:meth:`replay`).  Other layouts are materialised, and they and
+        hand-built graphs go through the discrete-event simulation.
+        ``start_time`` offsets the node timings the discrete-event path
+        records (the serving scheduler passes its current clock so they are
+        absolute).
         """
-        if graph.in_order_exact:
-            result = self.evaluate_in_order(graph)
-            if result is not None:
-                return result
-        return self.simulate_events(graph, start_time)
+        if isinstance(work, IterationLayout):
+            if work.in_order_exact:
+                return self.replay(work)
+            work = work.materialize()
+        return self.simulate_events(work, start_time)
 
-    def evaluate_in_order(self, graph: ExecutionGraph) -> Optional[SystemSimulationResult]:
-        """One pass over the nodes in node-id order; ``None`` if the graph does not allow it.
+    def replay(self, layout: IterationLayout) -> SystemSimulationResult:
+        """One in-order pass over a layout, block copy by block copy.
 
-        The pass needs node ids ``0..n-1`` in insertion order, every
-        dependency pointing at a lower id and every device in this
-        simulator's topology.  The dependency rule alone proves referential
-        integrity and acyclicity (what :meth:`ExecutionGraph.validate`
-        checks), so a graph that passes needs no topological sort.  Any
-        other graph returns ``None`` for the discrete-event path to validate
-        and report.
+        Each node starts at the latest of its dependencies' end times and
+        its devices' free times (a device is free once the last node it ran
+        ended), then runs for its duration.  Dependencies on a block's input
+        frontier read the latest end time at that frontier position: taking
+        a maximum never rounds, so collapsing a dependency list to it loses
+        nothing.  Durations are computed once per recorded node, with the
+        same function and inputs as the discrete-event path, and every sum
+        adds the same values in the same node order.
 
-        The caller vouches that the graph is ``in_order_exact``; on other
-        graphs the makespan may differ from :meth:`simulate_events`.
+        The caller vouches that the layout is ``in_order_exact``; on other
+        layouts the makespan may differ from the discrete-event simulation
+        of the materialised graph.
         """
-        node_duration = self.node_duration
-        ends: List[float] = []
-        # Per-device state in lists indexed by device id (cheaper than dict
-        # lookups); a free time of -1.0 marks a device that ran nothing.
-        num_devices = max(self.topology.devices, default=0) + 1
-        device_free = [-1.0] * num_devices
-        busy_time = [0.0] * num_devices
-        compute_time = comm_time = memory_time = 0.0
-        try:
-            for index, node in enumerate(graph):
-                if node.node_id != index:
-                    return None
-                start = 0.0
-                for dep in node.deps:
-                    if not 0 <= dep < index:
-                        return None
-                    end = ends[dep]
-                    if end > start:
-                        start = end
-                devices = devices_of(node)
-                for d in devices:
-                    free = device_free[d]
-                    if free > start:
-                        start = free
-                duration = node_duration(node)
-                end = start + duration
-                ends.append(end)
-                for d in devices:
-                    device_free[d] = end
-                    busy_time[d] += duration
-                node_type = node.node_type
-                if node_type is _COMPUTE:
-                    compute_time += duration
-                elif node_type is _MEMORY:
-                    memory_time += duration
-                else:
-                    comm_time += duration * len(devices)
-        except IndexError:  # a device outside this simulator's topology
-            return None
+        num_devices = layout.num_devices
+        device_free = [0.0] * num_devices
+        used = [False] * num_devices
+        # Busy seconds per device, then the device-seconds of compute,
+        # communication and memory transfers.
+        sums = [0.0] * (num_devices + 3)
+
+        def run(segment: Segment, frontier: List[float]) -> List[float]:
+            devices, steps, adds, carry = self._compile(segment.block, len(frontier),
+                                                        num_devices)
+            repeats = segment.repeats
+            values = [0.0, *frontier, *[device_free[d] for d in devices]]
+            for _ in range(repeats):
+                ends = values
+                for first, rest, duration in steps:
+                    start = ends[first]
+                    for i in rest:
+                        end = ends[i]
+                        if end > start:
+                            start = end
+                    ends.append(start + duration)
+                values = [ends[i] for i in carry]
+            for i, amounts in adds:
+                total = sums[i]
+                for _ in range(repeats):
+                    for amount in amounts:
+                        total += amount
+                sums[i] = total
+            outputs = len(segment.block.outputs)
+            for d, free in zip(devices, values[1 + outputs:]):
+                device_free[d] = free
+                used[d] = True
+            return values[1:1 + outputs]
+
+        layout.fold(run)
+        # A device's end times never decrease, so the latest free time is
+        # the makespan.
         return SystemSimulationResult(
-            makespan=max(ends, default=0.0), compute_time=compute_time,
-            comm_time=comm_time, memory_time=memory_time,
-            device_busy_time={d: busy for d, busy in enumerate(busy_time)
-                              if device_free[d] >= 0.0})
+            makespan=max(device_free, default=0.0), compute_time=sums[num_devices],
+            comm_time=sums[num_devices + 1], memory_time=sums[num_devices + 2],
+            device_busy_time={d: sums[d] for d in range(num_devices) if used[d]})
+
+    def _compile(self, block: RecordedBlock, width: int, num_devices: int
+                 ) -> Tuple[List[int], list, list, List[int]]:
+        """Turn a recorded block into the flat lists one block copy replays.
+
+        A copy computes one list of end times: index 0 holds ``0.0``, the
+        next ``width`` indices the input frontier, then the free time of
+        each device the block uses on entry, then one entry per step.  A
+        step ``(first, rest, duration)`` ends at
+        ``max(ends[first], ends[rest]...) + duration``.  Nodes with the same
+        predecessors and duration end at the same time, so they share one
+        step: the shards of a tensor-parallel operator that follow a shared
+        input cost one step, not one per device.
+
+        Returns the block's devices; its steps; per index into the
+        simulator's sums, the amounts one copy adds to it, in node order;
+        and the indices carried into the next copy (``0``, the output
+        frontier, the devices' free times), laid out like its input.
+        """
+        placed = [(node, devices_of(node)) for node in block.nodes]
+        devices = list(dict.fromkeys(d for _, node_devices in placed for d in node_devices))
+        base = 1 + width + len(devices)
+        last = {d: 1 + width + k for k, d in enumerate(devices)}
+        steps: List[Tuple[int, Tuple[int, ...], float]] = []
+        known: Dict[Tuple[int, Tuple[int, ...], float], int] = {}
+
+        def step(preds: Set[int], duration: float) -> int:
+            first, *rest = sorted(preds) or [0]
+            key = (first, tuple(rest), duration)
+            if key not in known:
+                steps.append(key)
+                known[key] = base + len(steps) - 1
+            return known[key]
+
+        at: List[int] = []  # index of each node's end time
+        busy: Dict[int, List[float]] = {d: [] for d in devices}
+        compute, comm, memory = [], [], []
+        for node, node_devices in placed:
+            duration = self.node_duration(node)
+            preds = {-slot if slot < 0 else at[slot] for slot in node.deps}
+            preds.update([last[d] for d in node_devices])
+            end = step(preds, duration)
+            at.append(end)
+            for d in node_devices:
+                last[d] = end
+                busy[d].append(duration)
+            node_type = node.node_type
+            if node_type is _COMPUTE:
+                compute.append(duration)
+            elif node_type is _MEMORY:
+                memory.append(duration)
+            else:
+                comm.append(duration * len(node_devices))
+        adds = [*busy.items(), (num_devices, compute), (num_devices + 1, comm),
+                (num_devices + 2, memory)]
+        # A repeated block's output frontier is as wide as its input (one
+        # position per device of its group), so copies chain.
+        carry = [0]
+        for slots in block.outputs:
+            indices = {-slot if slot < 0 else at[slot] for slot in slots}
+            # Several nodes feeding one position: a zero-duration step takes
+            # their latest end (x + 0.0 == x for x >= 0).
+            carry.append(indices.pop() if len(indices) == 1 else step(indices, 0.0))
+        carry.extend(last[d] for d in devices)
+        return devices, steps, adds, carry
 
     def simulate_events(self, graph: ExecutionGraph,
                         start_time: float = 0.0) -> SystemSimulationResult:
@@ -353,6 +414,11 @@ class SystemSimulator:
                 make_ready(node.node_id)
 
         result.num_events = queue.run()
+        # The nested functions reach one another through their closure
+        # cells.  Emptying the cells breaks that reference cycle, so the
+        # graph and the simulation state are freed now, not at the next
+        # full garbage collection.
+        del start_node, make_ready, release_device, finish
         if len(finished) != len(graph):
             missing = len(graph) - len(finished)
             raise RuntimeError(f"system simulation deadlocked with {missing} unfinished nodes")

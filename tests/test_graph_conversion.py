@@ -136,14 +136,14 @@ class TestGraphConverter:
         plan = make_plan(strategy, topology, MODEL.num_layers)
         converter = GraphConverter(topology, plan, granularity)
         stack_result, graph = block_trace_for(batch, pim=pim_mode is not PIMMode.NONE)
-        exec_graph = converter.convert(
+        layout = converter.convert(
             model=MODEL,
             sub_batch_block_traces=stack_result.sub_batch_traces,
             embedding_trace=list(stack_result.embedding_and_head_trace)[:1],
             head_trace=list(stack_result.embedding_and_head_trace)[1:],
             memory_events=memory_events,
             total_new_tokens=batch.total_new_tokens)
-        return exec_graph, converter
+        return layout.materialize(), converter
 
     def _batch(self, n_gen=4, ctx=64):
         return BatchComposition([SequenceSpec(i, ctx, 1, Phase.GENERATION) for i in range(n_gen)])

@@ -12,6 +12,7 @@ from repro.engine import (EngineStackReport, IterationCacheEntry,
                           RemoteIterationCache, SharedIterationCache,
                           iteration_cache_file, iteration_signature,
                           load_iteration_cache, save_iteration_cache)
+from repro.engine.iteration_cache import code_digest
 from repro.models import BatchComposition, Phase, SequenceSpec
 from repro.scheduler.kv_cache import KVMemoryEvent, KVMemoryEventType
 from repro.workload import Request
@@ -264,6 +265,21 @@ class TestIterationCachePersistence:
         path = save_iteration_cache(cache, tmp_path / "cache.pkl", config)
         fresh = IterationReuseCache()
         assert load_iteration_cache(fresh, path, small_config(npu_num=4)) == 0
+        assert len(fresh) == 0
+
+    def test_file_written_by_other_code_loads_nothing(self, tmp_path):
+        config = small_config()
+        cache = IterationReuseCache()
+        cache.store(("a",), _entry())
+        path = iteration_cache_file(tmp_path, config)
+        assert code_digest()[:16] in path.name
+        save_iteration_cache(cache, path, config)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["code"] == code_digest()
+        payload["code"] = "0" * 64
+        path.write_bytes(pickle.dumps(payload))
+        fresh = IterationReuseCache()
+        assert load_iteration_cache(fresh, path, config) == 0
         assert len(fresh) == 0
 
     def test_corrupt_or_missing_file_degrades_to_cold_start(self, tmp_path):

@@ -5,7 +5,8 @@ request caches during a full :class:`LLMServingSim` run.  The drained
 :class:`KVMemoryEvent`s must surface in three places that the seed code only
 exercised separately: the per-iteration ``IterationRecord.evictions`` /
 ``reloads`` counters, the scheduler's aggregate stats, and the execution
-graph handed to the system simulator (as MEMORY transfer nodes).
+graph of the layout handed to the system simulator (as MEMORY transfer
+nodes).
 """
 
 
@@ -46,7 +47,7 @@ class TestEvictReloadEndToEnd:
             iterations += 1
             # The record's counters must match the MEMORY nodes of the
             # execution graph simulated for the same iteration.
-            memory_nodes = [n for n in converted_graphs[-1].nodes
+            memory_nodes = [n for n in converted_graphs[-1].materialize().nodes
                             if n.node_type is GraphNodeType.MEMORY]
             assert len(memory_nodes) == record.evictions + record.reloads
             assert sim.converter.stats.memory_nodes == len(memory_nodes)
@@ -69,6 +70,17 @@ class TestEvictReloadEndToEnd:
         model = get_model("gpt2")
         sim = tiny_kv_simulator(capacity_tokens=160)
         assert sim.kv_manager.capacity_bytes == 160 * model.kv_bytes_per_token()
+
+    def test_reload_that_fills_the_cache_defers_growth(self):
+        # The request reloaded here fills the last free page; growing it in
+        # the same iteration would need one more.  It generates from the
+        # next iteration instead of failing with MemoryError.
+        sim = tiny_kv_simulator()
+        requests = [Request(0, 1, 16, arrival_time=0.0), Request(1, 80, 17, arrival_time=0.0),
+                    Request(2, 33, 16, arrival_time=0.0)]
+        result = sim.run(requests)
+        assert len(result.finished_requests) == 3
+        assert sim.scheduler.stats.reloads > 0
 
     def test_run_terminates_when_request_exceeds_budget(self):
         # A request larger than the whole KV budget can never be admitted;

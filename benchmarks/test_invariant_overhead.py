@@ -27,7 +27,9 @@ from repro import ClusterConfig, ClusterSimulator, ServingSimConfig, generate_tr
 from repro.analysis import print_table
 from repro.analysis.invariants import ReplicaInvariantChecker
 
-NUM_REQUESTS = 48
+#: Sized so each arm runs ~3 s on a 2-vCPU host: shorter runs let single
+#: bursts of shared-host noise decide a round's on/off ratio.
+NUM_REQUESTS = 240
 RATE = 96.0
 ROUNDS = 7
 MAX_OVERHEAD = 0.05

@@ -8,7 +8,7 @@ scheduler with vLLM paged KV caching, a pluggable execution-engine stack
 converter with tensor/pipeline/hybrid parallelism (each transformer block
 laid out once per pipeline stage), and an ASTRA-sim-style system simulator
 (an exact in-order replay of the recorded blocks on the layouts the
-converter proves safe, discrete-event simulation of the materialised graph
+converter proves safe, an event core over the same recorded blocks
 otherwise) — plus the baselines and
 benchmark harnesses needed to regenerate every table and figure of the
 paper's evaluation.

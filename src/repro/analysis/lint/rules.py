@@ -463,7 +463,7 @@ _LOCK_HELD_MARKERS = ("lock-held", "lock held", "caller holds", "caller must hol
 def _guarded_declaration(class_node: ast.ClassDef) -> Tuple[Set[str], str]:
     """The class's ``_LOCK_GUARDED`` attribute names and its lock attribute.
 
-    ``_LOCK_GUARDED = ("_entries", "_inflight")`` declares the guarded set;
+    ``_LOCK_GUARDED = ("_entries",)`` declares the guarded set;
     an optional ``_LOCK_NAME = "_cache_lock"`` overrides the default
     ``_lock`` attribute the guard blocks must hold.
     """

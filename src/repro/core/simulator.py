@@ -13,8 +13,8 @@ workflow of Figure 4:
    inserts collectives, pipeline transfers and KV-migration operators, and
    repeats the recorded block across the stage's blocks.
 4. The **system simulator** (ASTRA-sim substitute) replays that layout block
-   by block (or plays its materialised execution graph forward) and reports
-   the iteration latency.
+   by block (or runs it through its event core) and reports the iteration
+   latency.
 5. The latency feeds back into the scheduler clock and the loop repeats
    until every request finishes.
 """
@@ -289,8 +289,7 @@ class LLMServingSim:
             )
 
         with self.simtime.measure("system_sim"):
-            system_result = self.system_simulator.simulate(layout,
-                                                           start_time=self.scheduler.clock)
+            system_result = self.system_simulator.simulate(layout)
 
         self.simtime.account_iteration(stack_result.report, self.converter.stats,
                                        plan.num_requests)

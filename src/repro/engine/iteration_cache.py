@@ -26,16 +26,15 @@ layer shares one cache per :class:`~repro.core.config.ReplicaSpec` class).
 
 Three sharing tiers build on the plain :class:`IterationReuseCache`:
 
-* :class:`SharedIterationCache` — a thread-safe cache with **singleflight**
-  deduplication: concurrent misses on one signature elect a single leader
-  to simulate it while late arrivals block until the leader stores the
-  entry, so a signature is never computed twice no matter how many
-  same-class replicas race on it.
+* :class:`SharedIterationCache` — a thread-safe cache that same-class
+  replicas of one process share.
 * :class:`IterationCacheService` / :class:`RemoteIterationCache` — serve a
   master-hosted :class:`SharedIterationCache` to worker *processes* over
-  pipes, restoring the serial backend's cross-replica hit rate under the
-  ``process-pool`` execution backend (worker-private caches would re-miss
-  every signature once per worker).
+  pipes with **singleflight** deduplication: concurrent misses on one
+  signature elect a single leader to simulate it while late arrivals block
+  until the leader stores the entry.  This restores the serial backend's
+  cross-replica hit rate under the ``process-pool`` execution backend
+  (worker-private caches would re-miss every signature once per worker).
 * :func:`save_iteration_cache` / :func:`load_iteration_cache` — optional
   on-disk persistence (``ClusterConfig.cache_dir``) keyed by the owning
   serving configuration and by a digest of the simulator's own sources
@@ -183,35 +182,23 @@ class IterationReuseCache:
 
 
 class SharedIterationCache(IterationReuseCache):
-    """Thread-safe iteration cache with singleflight miss deduplication.
+    """Thread-safe iteration cache shared by same-class replicas.
 
-    The plain :class:`IterationReuseCache` lets every concurrent miss on the
-    same signature run the full simulation pipeline; on a shared cache that
-    is pure waste — the entries are exact, so one computation serves
-    everyone.  This subclass adds the **singleflight** discipline: the first
-    misser of a signature becomes its *leader* and simulates it, every later
-    misser blocks in :meth:`acquire` until the leader :meth:`store`\\ s the
-    entry (or :meth:`abandon`\\ s it, in which case a waiter is promoted to
-    leader and retries).
-
-    ``lookup``/``store``/``peek``/``clear`` stay non-blocking and merely
-    become thread-safe, so the cache still drops into
-    :class:`~repro.core.simulator.LLMServingSim` unchanged; the blocking
-    :meth:`acquire` entry point is what concurrent consumers — the
-    in-process users of one shared cache, and the
-    :class:`IterationCacheService` on behalf of worker processes — use
-    instead of ``lookup``.
+    ``lookup``/``store``/``peek``/``clear`` behave like the plain
+    :class:`IterationReuseCache` and become thread-safe, so the cache drops
+    into :class:`~repro.core.simulator.LLMServingSim` unchanged.  Concurrent
+    misses from worker processes are deduplicated by the
+    :class:`IterationCacheService` that serves this cache, not here.
     """
 
     #: Lock discipline, enforced statically by `repro lint` rule REP006:
     #: these attributes may only be touched inside `with self._lock:` (or in
     #: a method documented as lock-held).
-    _LOCK_GUARDED = ("_entries", "_inflight")
+    _LOCK_GUARDED = ("_entries",)
 
     def __init__(self, enabled: bool = True, max_entries: Optional[int] = None) -> None:
         super().__init__(enabled=enabled, max_entries=max_entries)
         self._lock = threading.Lock()
-        self._inflight: Dict[Tuple, threading.Event] = {}
 
     def lookup(self, signature: Tuple) -> Optional[IterationCacheEntry]:
         with self._lock:
@@ -222,58 +209,12 @@ class SharedIterationCache(IterationReuseCache):
             return super().peek(signature)
 
     def store(self, signature: Tuple, entry: IterationCacheEntry) -> None:
-        """Insert an entry and release every waiter blocked on its signature."""
         with self._lock:
             super().store(signature, entry)
-            event = self._inflight.pop(signature, None)
-        if event is not None:
-            event.set()
 
     def clear(self) -> None:
         with self._lock:
             super().clear()
-            inflight, self._inflight = self._inflight, {}
-        for event in inflight.values():
-            event.set()
-
-    # -- singleflight ----------------------------------------------------------
-
-    def acquire(self, signature: Tuple) -> Tuple[Optional[IterationCacheEntry], bool]:
-        """Hit, lead, or wait: the singleflight entry point.
-
-        Returns ``(entry, False)`` on a hit.  On a miss with nobody
-        computing the signature, returns ``(None, True)`` — the caller is
-        the leader and must :meth:`store` (or :meth:`abandon`) it.  On a
-        miss while a leader is in flight, blocks until the leader finishes,
-        then returns the stored entry as a hit — or retries for leadership
-        if the leader abandoned.
-        """
-        while True:
-            with self._lock:
-                entry = self._entries.get(signature) if self.enabled else None
-                if entry is not None:
-                    self.stats.hits += 1
-                    return entry, False
-                if not self.enabled:
-                    self.stats.misses += 1
-                    return None, True
-                event = self._inflight.get(signature)
-                if event is None:
-                    self._inflight[signature] = threading.Event()
-                    self.stats.misses += 1
-                    return None, True
-            event.wait()
-
-    def abandon(self, signature: Tuple) -> None:
-        """Give up leadership of a signature (the simulation failed).
-
-        Waiters wake, find no entry, and re-run the election — exactly one
-        of them becomes the new leader.
-        """
-        with self._lock:
-            event = self._inflight.pop(signature, None)
-        if event is not None:
-            event.set()
 
 
 class RemoteIterationCache:

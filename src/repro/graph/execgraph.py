@@ -7,8 +7,9 @@ a specific device of the system topology.  The system simulator
 (:mod:`repro.system.simulator`) plays this graph forward with a
 discrete-event engine to produce the iteration's end-to-end latency.  The
 graph converter produces an :class:`~repro.graph.layout.IterationLayout`,
-which the system simulator replays without building a graph when it can,
-and materialises into an :class:`ExecutionGraph` otherwise.
+which the system simulator runs without building a graph; the layout
+materialises into an :class:`ExecutionGraph` for inspection and for the
+discrete-event oracle.
 
 The representation intentionally mirrors Chakra execution traces: nodes have
 explicit data dependencies and a device placement, and communication nodes

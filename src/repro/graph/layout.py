@@ -12,10 +12,12 @@ recorded blocks together with their repeat counts, in node order:
   previous stage, then the stage's recorded block and its repeat count;
 * the LM head.
 
-The system simulator replays an in-order-exact layout block by block
-without building any graph object; :meth:`IterationLayout.materialize`
-expands a layout into the full :class:`~repro.graph.execgraph.ExecutionGraph`
-for the discrete-event simulation and for inspection.
+The system simulator runs a layout from its recorded blocks without
+building any graph object: block by block when the layout is
+in-order-exact, through its event core otherwise.
+:meth:`IterationLayout.materialize` expands a layout into the full
+:class:`~repro.graph.execgraph.ExecutionGraph` for inspection and for the
+discrete-event simulation the system simulator is tested against.
 """
 
 from __future__ import annotations

@@ -7,11 +7,13 @@ time; collectives occupy every participating device; point-to-point and
 host transfers occupy the endpoints for the duration computed by the
 network model.
 
-Two paths compute the same makespan:
+Three routes compute the same makespan:
 
 * the **discrete-event simulation** (DES) handles any valid graph.  It
   starts each node as soon as its dependencies and devices allow, so a
-  device may run its nodes out of node-id order.
+  device may run its nodes out of node-id order.  It is the oracle the
+  two layout routes are tested against, and the route for hand-built
+  graphs.
 * the **block replay** visits the nodes of a layout once, in node order,
   without building a graph: a node starts at the latest of its
   dependencies' end times and its devices' free times.  Each recorded
@@ -19,9 +21,12 @@ Two paths compute the same makespan:
   block it stands for.  That is exact only when every device runs its
   nodes in node order under the DES, which the graph converter proves for
   the layouts it flags
-  :attr:`~repro.graph.layout.IterationLayout.in_order_exact`.  Every other
-  layout is materialised into its execution graph and takes the DES, which
-  stays the oracle the replay is tested against.
+  :attr:`~repro.graph.layout.IterationLayout.in_order_exact`.
+* the **layout event core** runs every other layout (interleaved
+  sub-batches, PIM-pool round trips) with the DES's own rules, also
+  without building a graph: each recorded block is compiled once and its
+  copies are expanded into flat per-node lists, and the events are plain
+  tuples in a heap.
 
 The output is the iteration's end-to-end latency (makespan) plus per-device
 utilization and a communication/computation breakdown — the statistics the
@@ -33,7 +38,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple, Union
+from heapq import heappop, heappush
+from itertools import count
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..graph.execgraph import ExecutionGraph, GraphNode, GraphNodeType, devices_of
 from ..graph.layout import IterationLayout, LayoutNode, RecordedBlock, Segment
@@ -77,18 +84,22 @@ class SystemSimulationResult:
     device_busy_time:
         Busy seconds per device id.
     node_timings:
-        Per-node start/end times in completion order.  Only the
-        discrete-event path records them; results of the block replay
-        leave the list empty.
+        Per-node start/end times in completion order.  Only
+        :meth:`SystemSimulator.simulate_events` (hand-built graphs and
+        tests) records them; both layout routes leave the list empty.
     num_events:
-        Number of discrete events processed (``0`` on the replay path).
+        Number of discrete events processed: one per node on both event
+        paths (the graph DES and the layout event core), ``0`` on the block
+        replay.
 
-    ``makespan`` is exact on both paths: on a layout flagged
+    ``makespan`` is exact on every route: on a layout flagged
     ``in_order_exact`` the block replay performs the same float additions
     and maxima as the discrete-event simulation of the materialised graph,
-    so the two agree bit for bit.  The aggregate times (``compute_time``,
+    so the two agree bit for bit; its aggregate times (``compute_time``,
     ``comm_time``, ``memory_time``, ``device_busy_time``) agree to rounding,
-    because the paths sum the per-node durations in different orders.
+    because it sums the per-node durations in a different order.  The
+    layout event core performs the DES's own operations in the DES's order,
+    so every field but ``node_timings`` is equal.
     """
 
     makespan: float = 0.0
@@ -119,6 +130,10 @@ _COMPUTE = GraphNodeType.COMPUTE
 _COLLECTIVE = GraphNodeType.COLLECTIVE
 _P2P = GraphNodeType.P2P
 _MEMORY = GraphNodeType.MEMORY
+
+#: A recorded node compiled for the layout event core: its duration, its
+#: devices, its node type and the slots of its dependents in the block.
+_Entry = Tuple[float, Tuple[int, ...], GraphNodeType, Tuple[int, ...]]
 
 
 class SystemSimulator:
@@ -153,22 +168,19 @@ class SystemSimulator:
             return self.network.host_transfer_time(node.comm_bytes)
         raise ValueError(f"unknown node type {node_type}")
 
-    def simulate(self, work: Union[IterationLayout, ExecutionGraph],
-                 start_time: float = 0.0) -> SystemSimulationResult:
+    def simulate(self, work: Union[IterationLayout, ExecutionGraph]) -> SystemSimulationResult:
         """Run an iteration layout or an execution graph to completion.
 
         Layouts flagged ``in_order_exact`` go through the block replay
-        (:meth:`replay`).  Other layouts are materialised, and they and
-        hand-built graphs go through the discrete-event simulation.
-        ``start_time`` offsets the node timings the discrete-event path
-        records (the serving scheduler passes its current clock so they are
-        absolute).
+        (:meth:`replay`), every other layout through the layout event core
+        (:meth:`simulate_layout`); neither builds a graph.  Hand-built graphs
+        go through the discrete-event simulation (:meth:`simulate_events`).
         """
         if isinstance(work, IterationLayout):
             if work.in_order_exact:
                 return self.replay(work)
-            work = work.materialize()
-        return self.simulate_events(work, start_time)
+            return self.simulate_layout(work)
+        return self.simulate_events(work)
 
     def replay(self, layout: IterationLayout) -> SystemSimulationResult:
         """One in-order pass over a layout, block copy by block copy.
@@ -293,12 +305,224 @@ class SystemSimulator:
         carry.extend(last[d] for d in devices)
         return devices, steps, adds, carry
 
+    def simulate_layout(self, layout: IterationLayout) -> SystemSimulationResult:
+        """The discrete-event simulation of a layout, run from its recorded blocks.
+
+        Computes what :meth:`simulate_events` computes on
+        ``layout.materialize()``, field for field except ``node_timings``
+        (left empty), without building the graph: each recorded block is
+        compiled once, and its copies are expanded into flat per-node lists
+        by index arithmetic.  The event loop keeps every rule of the graph
+        simulation: events ordered by ``(time, sequence)`` with
+        ``time = now + duration``; roots made ready in node-id order;
+        de-duplicated dependencies; a finished node releases its dependents
+        in increasing node id, then its devices in :func:`devices_of` order;
+        a freed device goes to its multi-device waiters (re-checking their
+        other devices) before its FIFO of single-device nodes; aggregates
+        add ``end - start`` in completion order.
+        """
+        # Per node, in node-id order: its recorded node's compiled entry
+        # (duration, devices, kind, dependents inside the block copy), the
+        # id of its copy's first node, and its unfinished dependencies.
+        entries: List[_Entry] = []
+        bases: List[int] = []
+        remaining: List[int] = []
+        # Per node, its dependents in later block copies.
+        later: List[Sequence[int]] = []
+
+        def run(segment: Segment, frontier: List[List[int]]) -> List[List[int]]:
+            block_entries, counts, entry_nodes, outputs = self._compile_events(segment.block)
+            size = len(block_entries)
+            none = [()] * size
+            for _ in range(segment.repeats):
+                base = len(entries)
+                entries.extend(block_entries)
+                bases.extend([base] * size)
+                remaining.extend(counts)
+                later.extend(none)
+                for slot, positions in entry_nodes:
+                    node = base + slot
+                    deps = dict.fromkeys(dep for position in positions
+                                         for dep in frontier[position])
+                    remaining[node] += len(deps)
+                    for dep in deps:
+                        if later[dep]:
+                            later[dep].append(node)
+                        else:
+                            later[dep] = [node]
+                frontier = [[base + slot for slot in slots]
+                            + [dep for position in positions for dep in frontier[position]]
+                            for slots, positions in outputs]
+            return frontier
+
+        layout.fold(run)
+        result = SystemSimulationResult()
+        if not entries:
+            return result
+
+        num_devices = layout.num_devices
+        busy = [False] * num_devices
+        # FIFO of ready single-device nodes per busy device.
+        queued: List[Deque[int]] = [deque() for _ in range(num_devices)]
+        # Ready multi-device nodes: how many of their devices are busy (0 when
+        # not waiting), and per device the waiters that include it.
+        waiting = [0] * len(entries)
+        waiters: List[List[int]] = [[] for _ in range(num_devices)]
+        heap: List[Tuple[float, int, int, float]] = []
+        sequence = count()
+        busy_time = result.device_busy_time
+        compute_time = comm_time = memory_time = 0.0
+        now = 0.0
+
+        def make_ready(node: int) -> None:
+            devices = entries[node][1]
+            if len(devices) > 1:
+                busy_count = 0
+                for d in devices:
+                    if busy[d]:
+                        busy_count += 1
+                if busy_count:
+                    waiting[node] = busy_count
+                    for d in devices:
+                        waiters[d].append(node)
+                    return
+            elif busy[devices[0]]:
+                queued[devices[0]].append(node)
+                return
+            for d in devices:
+                busy[d] = True
+            heappush(heap, (now + entries[node][0], next(sequence), node, now))
+
+        def release(device: int) -> None:
+            """Hand a freed device to its multi-device waiters, then its FIFO."""
+            busy[device] = False
+            device_waiters = waiters[device]
+            left_waiting = False
+            for node in device_waiters:
+                busy_count = waiting[node]
+                if not busy_count:
+                    left_waiting = True
+                    continue
+                busy_count -= 1
+                if not busy_count:
+                    # All endpoints reported free; start unless a race
+                    # re-occupied one (then it re-enters waiting).
+                    devices = entries[node][1]
+                    for d in devices:
+                        if busy[d]:
+                            busy_count += 1
+                    if not busy_count:
+                        waiting[node] = 0
+                        left_waiting = True
+                        for d in devices:
+                            busy[d] = True
+                        heappush(heap, (now + entries[node][0], next(sequence), node, now))
+                        continue
+                waiting[node] = busy_count
+            if left_waiting:
+                waiters[device] = [node for node in device_waiters if waiting[node]]
+            if not busy[device]:
+                ready = queued[device]
+                if ready:
+                    node = ready.popleft()
+                    busy[device] = True
+                    heappush(heap, (now + entries[node][0], next(sequence), node, now))
+
+        for node, unfinished in enumerate(remaining):
+            if not unfinished:
+                make_ready(node)
+
+        events = 0
+        while heap:
+            now, _, node, start = heappop(heap)
+            events += 1
+            _, devices, kind, children = entries[node]
+            duration = now - start
+            for d in devices:
+                if d in busy_time:
+                    busy_time[d] += duration
+                else:
+                    busy_time[d] = duration
+            if kind is _COMPUTE:
+                compute_time += duration
+            elif kind is _MEMORY:
+                memory_time += duration
+            else:
+                comm_time += duration * len(devices)
+            base = bases[node]
+            for child in children:
+                child += base
+                remaining[child] -= 1
+                if not remaining[child]:
+                    make_ready(child)
+            for child in later[node]:
+                remaining[child] -= 1
+                if not remaining[child]:
+                    make_ready(child)
+            for d in devices:
+                if waiters[d]:
+                    release(d)
+                elif queued[d]:
+                    # The device passes straight to the next node in its FIFO.
+                    child = queued[d].popleft()
+                    heappush(heap, (now + entries[child][0], next(sequence), child, now))
+                else:
+                    busy[d] = False
+
+        if events != len(entries):
+            missing = len(entries) - events
+            raise RuntimeError(f"system simulation deadlocked with {missing} unfinished nodes")
+        result.makespan = now
+        result.compute_time = compute_time
+        result.comm_time = comm_time
+        result.memory_time = memory_time
+        result.num_events = events
+        return result
+
+    def _compile_events(self, block: RecordedBlock
+                        ) -> Tuple[List[_Entry], List[int], List[Tuple[int, Tuple[int, ...]]],
+                                   List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
+        """Turn a recorded block into what :meth:`simulate_layout` expands per copy.
+
+        Returns, per node, its entry ``(duration, devices, node type, slots
+        of its dependents in the block)`` and its number of distinct
+        dependencies inside the block; the nodes that depend on the input
+        frontier, with the frontier positions they read; and per output
+        frontier position, its slots in the block and the input positions
+        it passes through.
+        """
+        nodes = block.nodes
+        children: List[List[int]] = [[] for _ in nodes]
+        counts: List[int] = []
+        entry_nodes: List[Tuple[int, Tuple[int, ...]]] = []
+        for slot, node in enumerate(nodes):
+            inside = set()
+            positions = set()
+            for dep in node.deps:
+                if dep >= 0:
+                    inside.add(dep)
+                else:
+                    positions.add(-1 - dep)
+            for dep in sorted(inside):
+                children[dep].append(slot)
+            counts.append(len(inside))
+            if positions:
+                entry_nodes.append((slot, tuple(sorted(positions))))
+        entries = [(self.node_duration(node), devices_of(node), node.node_type,
+                    tuple(node_children))
+                   for node, node_children in zip(nodes, children)]
+        outputs = [(tuple(slot for slot in slots if slot >= 0),
+                    tuple(-1 - slot for slot in slots if slot < 0))
+                   for slots in block.outputs]
+        return entries, counts, entry_nodes, outputs
+
     def simulate_events(self, graph: ExecutionGraph,
                         start_time: float = 0.0) -> SystemSimulationResult:
         """Discrete-event simulation of any valid graph (the oracle path).
 
         Validates the graph first and raises :class:`ValueError` on a missing
-        dependency or a cycle.
+        dependency or a cycle.  Records one :class:`NodeTiming` per node,
+        offset by ``start_time``.
         """
         graph.validate()
         result = SystemSimulationResult()

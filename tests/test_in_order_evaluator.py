@@ -1,12 +1,16 @@
-"""Differential and property-based tests of the system simulator's block replay.
+"""Differential and property-based tests of the system simulator's layout paths.
 
 The discrete-event simulation (``SystemSimulator.simulate_events``) of the
 materialised execution graph is the oracle.  Over the iteration layouts the
-converter builds for generated configurations and workloads, the block
-replay must return the oracle's makespan bit for bit on every layout the
-converter flags ``in_order_exact``, and the converter must leave the flag
-off on the layouts where the two disagree (interleaved sub-batches, PIM-pool
-round trips), which then take the oracle's path.
+converter builds for generated configurations and workloads:
+
+* the block replay must return the oracle's makespan bit for bit on every
+  layout the converter flags ``in_order_exact``;
+* the converter must leave the flag off on the layouts where the two
+  disagree (interleaved sub-batches, PIM-pool round trips);
+* the layout event core, which runs those layouts from their recorded
+  blocks, must equal the oracle field for field (makespan, aggregates,
+  per-device busy time, event count).
 """
 
 import pytest
@@ -14,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ServingSimConfig
 from repro.core.simulator import LLMServingSim
-from repro.graph import ExecutionGraph, GraphConverter, GraphGranularity, GraphNodeType
+from repro.graph import (ExecutionGraph, GraphConverter, GraphGranularity, GraphNodeType,
+                         IterationLayout)
+from repro.graph.layout import RecordedBlock, Segment
 from repro.models import BatchComposition, Phase, SequenceSpec, get_model
 from repro.system import SystemSimulator, build_topology
 from repro.workload.request import Request
@@ -22,6 +28,9 @@ from repro.workload.request import Request
 GPT2 = get_model("gpt2")
 #: A KV budget of 160 tokens: a few gpt2 requests evict and reload pages.
 TINY_KV_BYTES = 160 * GPT2.kv_bytes_per_token()
+#: A KV budget of 256 tokens: with sub-batching, KV migrations land in
+#: iterations that interleave sub-batches.
+SMALL_KV_BYTES = 256 * GPT2.kv_bytes_per_token()
 
 #: Configurations whose layouts the converter must flag in-order exact.
 SAFE_CONFIGS = {
@@ -43,6 +52,11 @@ SAFE_CONFIGS = {
 MIXED_CONFIGS = {
     "pim-local-sub-batch": dict(npu_num=2, pim_type="local", sub_batch=True),
     "pim-pool": dict(npu_num=2, pim_type="pool"),
+    "pim-pool-sub-batch": dict(npu_num=2, pim_type="pool", sub_batch=True),
+    "pp2xtp2-pim-local-sub-batch": dict(npu_num=4, npu_group=2, pim_type="local",
+                                        sub_batch=True),
+    "small-kv-pim-local-sub-batch": dict(npu_num=2, pim_type="local", sub_batch=True,
+                                         kv_capacity_bytes=SMALL_KV_BYTES),
 }
 
 
@@ -96,6 +110,17 @@ def assert_aggregates_match(fast, oracle):
     assert fast.device_busy_time.keys() == oracle.device_busy_time.keys()
     for device, busy in oracle.device_busy_time.items():
         assert fast.device_busy_time[device] == pytest.approx(busy, rel=1e-12)
+
+
+def assert_equals_oracle(result, oracle):
+    """Field-for-field equality with the oracle (the layout paths record no timings)."""
+    assert result.makespan == oracle.makespan
+    assert result.compute_time == oracle.compute_time
+    assert result.comm_time == oracle.comm_time
+    assert result.memory_time == oracle.memory_time
+    assert result.device_busy_time == oracle.device_busy_time
+    assert result.num_events == oracle.num_events
+    assert result.node_timings == []
 
 
 def assert_stats_count_graph(stats, graph: ExecutionGraph):
@@ -163,9 +188,9 @@ class TestSafeGraphs:
     def test_simulate_takes_the_in_order_path(self):
         batch = BatchComposition([SequenceSpec(i, 32, 1, Phase.GENERATION) for i in range(3)])
         system, layout = single_batch_layout(make_config(SAFE_CONFIGS["tp4"]), batch)
-        result = system.simulate(layout, start_time=5.0)
+        result = system.simulate(layout)
         graph = layout.materialize()
-        oracle = system.simulate_events(graph, start_time=5.0)
+        oracle = system.simulate_events(graph)
         assert result.makespan == oracle.makespan
         assert result.node_timings == [] and result.num_events == 0
         assert len(oracle.node_timings) == oracle.num_events == len(graph)
@@ -181,7 +206,7 @@ class TestSafeGraphs:
 
 class TestUnsafeGraphs:
     @given(name=st.sampled_from(sorted(MIXED_CONFIGS)), spec=requests_strategy)
-    @settings(max_examples=example_budget(20), deadline=None)
+    @settings(max_examples=example_budget(40), deadline=None)
     def test_flag_off_exactly_when_unsafe_and_des_result_returned(self, name, spec):
         system, layouts = converted_layouts(make_config(MIXED_CONFIGS[name]),
                                             build_requests(spec))
@@ -194,7 +219,7 @@ class TestUnsafeGraphs:
             assert result.makespan == oracle.makespan
             assert_stats_count_graph(stats, graph)
             if unsafe:
-                assert len(result.node_timings) == len(graph)
+                assert_equals_oracle(result, oracle)
             else:
                 assert system.replay(layout).makespan == oracle.makespan
 
@@ -210,7 +235,7 @@ class TestUnsafeGraphs:
         # The in-order replay serialises the interleaved sub-batches.
         assert system.replay(layout).makespan > oracle.makespan
         result = system.simulate(layout)
-        assert result.makespan == oracle.makespan
+        assert_equals_oracle(result, oracle)
         assert result.num_events == len(graph)
 
     def test_pool_transfer_graph_is_unsafe(self):
@@ -219,7 +244,29 @@ class TestUnsafeGraphs:
         graph = layout.materialize()
         assert has_pool_transfer(graph)
         assert not layout.in_order_exact
-        assert system.simulate(layout).makespan == system.simulate_events(graph).makespan
+        assert_equals_oracle(system.simulate(layout), system.simulate_events(graph))
+
+    def test_kv_migrations_in_interleaved_iterations_match(self):
+        requests = [Request(request_id=i, input_tokens=64, output_tokens=64) for i in range(4)]
+        system, layouts = converted_layouts(
+            make_config(MIXED_CONFIGS["small-kv-pim-local-sub-batch"]), requests)
+        checked = 0
+        for layout, stats in layouts:
+            if layout.in_order_exact or not stats.memory_nodes:
+                continue
+            assert_equals_oracle(system.simulate(layout),
+                                 system.simulate_events(layout.materialize()))
+            checked += 1
+        assert checked, "no interleaved iteration carried a KV migration"
+
+    def test_serving_never_materialises_a_layout(self, monkeypatch):
+        def refuse(layout):
+            raise AssertionError("the serving path materialised a layout")
+
+        monkeypatch.setattr(IterationLayout, "materialize", refuse)
+        _, layouts = converted_layouts(make_config(MIXED_CONFIGS["pim-local-sub-batch"]),
+                                       build_requests([(48, 8, 0), (16, 8, 1), (32, 8, 0)]))
+        assert any(not layout.in_order_exact for layout, _ in layouts)
 
 
 class TestValidation:
@@ -244,6 +291,16 @@ class TestValidation:
         for graph, message in ((cyclic, "cycle"), (missing, "missing node")):
             with pytest.raises(ValueError, match=message):
                 system.simulate(graph)
+
+    def test_layout_event_core_reports_a_deadlock(self):
+        # Two nodes of one block waiting on each other never become ready.
+        block = RecordedBlock()
+        block.add(GraphNodeType.COMPUTE, "a", 1, (1,), duration=1.0)
+        block.add(GraphNodeType.COMPUTE, "b", 1, (0,), duration=1.0)
+        layout = IterationLayout(Segment(RecordedBlock()), [[Segment(block)]],
+                                 Segment(RecordedBlock()), num_devices=2)
+        with pytest.raises(RuntimeError, match="deadlocked with 2 unfinished nodes"):
+            self._system().simulate(layout)
 
     def test_validate_accepts_acyclic_forward_edges(self):
         graph = ExecutionGraph()

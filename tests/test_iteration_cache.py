@@ -114,62 +114,6 @@ class TestSharedIterationCache:
         cache.store(("c",), _entry())
         assert len(cache) == 2 and cache.peek(("a",)) is None  # evicted
 
-    def test_acquire_hit_lead_and_store_release(self):
-        cache = SharedIterationCache()
-        entry, lead = cache.acquire(("sig",))
-        assert entry is None and lead, "first misser must become the leader"
-        cache.store(("sig",), _entry(2.0))
-        entry, lead = cache.acquire(("sig",))
-        assert not lead and entry.latency == 2.0
-        assert cache.stats.misses == 1 and cache.stats.hits == 1
-
-    def test_followers_block_until_leader_stores(self):
-        cache = SharedIterationCache()
-        _, lead = cache.acquire(("sig",))
-        assert lead
-        follower_results = []
-
-        def follow():
-            follower_results.append(cache.acquire(("sig",)))
-
-        threads = [threading.Thread(target=follow) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        assert not follower_results, "followers must wait on the leader"
-        cache.store(("sig",), _entry(3.0))
-        for thread in threads:
-            thread.join(timeout=5.0)
-        assert len(follower_results) == 3
-        assert all(not lead and entry.latency == 3.0
-                   for entry, lead in follower_results)
-        # Singleflight accounting: one miss (the leader), everyone else hits.
-        assert cache.stats.misses == 1 and cache.stats.hits == 3
-
-    def test_abandon_promotes_a_waiter(self):
-        cache = SharedIterationCache()
-        _, lead = cache.acquire(("sig",))
-        assert lead
-        outcomes = []
-
-        def follow():
-            outcomes.append(cache.acquire(("sig",)))
-
-        thread = threading.Thread(target=follow)
-        thread.start()
-        cache.abandon(("sig",))
-        thread.join(timeout=5.0)
-        assert len(outcomes) == 1
-        entry, promoted = outcomes[0]
-        assert entry is None and promoted, "a waiter must inherit leadership"
-
-    def test_disabled_shared_cache_always_leads(self):
-        cache = SharedIterationCache(enabled=False)
-        entry, lead = cache.acquire(("sig",))
-        assert entry is None and lead
-        cache.store(("sig",), _entry())
-        entry, lead = cache.acquire(("sig",))
-        assert entry is None and lead, "disabled cache must never block"
-
 
 class TestIterationCacheService:
     """The master-side pipe server workers reach shared caches through."""

@@ -204,7 +204,7 @@ class TestSystemSimulator:
     def test_start_time_offsets_node_timings(self):
         graph = ExecutionGraph()
         graph.add_compute("a", device=1, duration=1.0)
-        result = self._sim().simulate(graph, start_time=100.0)
+        result = self._sim().simulate_events(graph, start_time=100.0)
         assert result.node_timings[0].start == pytest.approx(100.0)
         assert result.node_timings[0].end == pytest.approx(101.0)
 
